@@ -3,7 +3,7 @@
 
 One workload, as a checked run (run from the repository root):
 
-    python3 perfbench/run.py --workload fault_sweep --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fault_sweep --seed 1 --seconds 25 --trace 0
 
 The last line of standard output is one JSON object with the keys
 `correct`, `attempted`, `failed` and `metrics`: every end-to-end metric of
@@ -13,7 +13,9 @@ The line before it carries the run's host metadata and check details.
 All four workloads, untraced then traced, with a summary table, failed
 fractions and tracing overhead (written to perfbench/out/summary.json):
 
-    python3 perfbench/run.py [--seed 1] [--seconds 20]
+    python3 perfbench/run.py [--seed 1] [--seconds 25]
+
+`--seconds` defaults to `run_seconds` of BENCHMARK.json.
 
 The benchmark's own tests (tampered references must fail, one-op smoke run
 of every workload):
@@ -28,10 +30,8 @@ import argparse
 import hashlib
 import json
 import os
-import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -40,7 +40,6 @@ OUT = HERE / "out"
 REFERENCE = HERE / "reference.json"
 WORKLOADS = ["fault_sweep", "triage", "refinement", "driver_verify"]
 DEFAULT_SEED = 1
-SETUP_REPEATS = 5
 RUN_TIMEOUT_S = 170
 
 
@@ -102,23 +101,6 @@ def host_metadata(workload, seed):
     }
 
 
-def measure_setup(binary, workload):
-    """Median, over fresh processes, of the time from process start to the
-    end of the workload's set-up (the point its first op would start)."""
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(
-            [str(binary), "--workload", workload, "--setup-only", "--reference", str(REFERENCE)],
-            stdout=subprocess.PIPE, text=True)
-        line = proc.stdout.readline()
-        samples.append(time.perf_counter() - t0)
-        proc.stdout.close()
-        if proc.wait(timeout=RUN_TIMEOUT_S) != 0 or line.strip() != "ready":
-            raise RuntimeError(f"{workload}: set-up failed")
-    return statistics.median(samples)
-
-
 def run_binary(binary, workload, seed, seconds, trace):
     """Runs one measuring process and returns its result object."""
     cmd = [str(binary), "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -133,19 +115,19 @@ def run_binary(binary, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
+def spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def declared_metrics(trace):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"] for m in spec["per_layer" if trace else "end_to_end"]}
+    return {m["name"] for m in spec()["per_layer" if trace else "end_to_end"]}
 
 
 def measure(binary, workload, seed, seconds, trace):
-    """One benchmark run: set-up samples (untraced only), the measuring
-    process, and the declared metric set checked."""
-    metrics = {}
-    if not trace:
-        metrics["setup_s"] = {"value": measure_setup(binary, workload), "unit": "s"}
+    """One benchmark run: the measuring process, with the declared metric
+    set checked."""
     detail = run_binary(binary, workload, seed, seconds, trace)
-    metrics.update(detail.pop("metrics"))
+    metrics = detail.pop("metrics")
     missing = declared_metrics(trace) ^ set(metrics)
     if missing:
         raise RuntimeError(f"{workload}: metrics differ from BENCHMARK.json: {sorted(missing)}")
@@ -207,7 +189,7 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--selftest", action="store_true")
     p.add_argument("--record", action="store_true",
@@ -215,6 +197,12 @@ def main():
     args = p.parse_args()
     if args.selftest:
         return cargo("test", "--quiet")
+    try:
+        if args.seconds is None:
+            args.seconds = spec()["run_seconds"]
+    except (OSError, ValueError, KeyError) as e:
+        log(f"perfbench: cannot read run_seconds from BENCHMARK.json: {e}")
+        return 1
     binary = build()
     if binary is None:
         log("perfbench: build failed")

@@ -1,6 +1,9 @@
 //! Shared machinery: the op loop, per-layer accumulators, span tracing
 //! with Chrome export, and small statistics helpers.
 
+use lightbulb_system::compiler::CompiledProgram;
+use lightbulb_system::devices::{FaultPlan, FrameFault, TrafficGen};
+use lightbulb_system::integration::{FaultSweepConfig, LightbulbRun, ProcessorKind};
 use lightbulb_system::obs::json::Value;
 use lightbulb_system::obs::{chrome, Event};
 use std::collections::BTreeMap;
@@ -22,18 +25,26 @@ pub fn splitmix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeds come in families of a thousand (`0..1000` is family 0, the
-/// default seed's; `1000..2000` family 1, the held-out seed's; and so on,
-/// modulo [`FAMILIES`]). A family fixes a workload's input set; the seed
-/// within it fixes where in that set a run starts.
-pub const FAMILIES: u64 = 4;
+/// Seeds come in families of a thousand: `0..1000` is family 0, the
+/// default seed's, and `1000..2000` family 1, the held-out seed's; other
+/// seeds wrap onto these two. A family fixes a workload's input set; the
+/// seed within it fixes the order of the run's first pass over that set.
+pub const FAMILIES: u64 = 2;
 
-/// The `(family, rotation)` of `seed` over an input set of `len` items.
-pub fn family(seed: u64, len: usize) -> (usize, usize) {
-    (
-        ((seed / 1000) % FAMILIES) as usize,
-        (splitmix(seed) % len as u64) as usize,
-    )
+/// Input `k` of a run over a family's input set of `len` items, as an
+/// index into the recorded inputs of all families. The first pass visits
+/// the family's items from the seed's rotation; later passes visit them in
+/// their recorded order. Every run of a family therefore does the same
+/// work, whatever its seed, up to where its time budget ends.
+pub fn input_index(seed: u64, len: usize, k: u64) -> usize {
+    let family = ((seed / 1000) % FAMILIES) as usize;
+    let k = k as usize;
+    let within = if k < len {
+        (splitmix(seed) as usize % len + k) % len
+    } else {
+        k % len
+    };
+    family * len + within
 }
 
 /// The median of `values` (the mean of the middle two for an even count).
@@ -172,6 +183,69 @@ impl Tracer {
     }
 }
 
+/// Set-up repeats after each op of an untraced run.
+pub const SETUP_REPEATS: usize = 3;
+
+/// One processor model's run of a fault plan, as `fault_check_plan` makes
+/// it, with its spans' times.
+pub struct PlanRun {
+    /// The run whose trace the check matches.
+    pub run: LightbulbRun,
+    /// Time of the quick pass plus the rerun, if any, in ms.
+    pub ms: f64,
+    /// Time of the full-budget rerun, when the quick pass left the
+    /// workload unfinished.
+    pub rerun_ms: Option<f64>,
+}
+
+/// Runs `plan` on `kind` the way `fault_check_plan` does, each run inside
+/// a span: the plan seed's traffic, a quick pass, and a full-budget rerun
+/// when the quick pass left the workload unfinished and the budget allows
+/// more cycles.
+pub fn run_plan(
+    tr: &mut Tracer,
+    plan: &FaultPlan,
+    cfg: &FaultSweepConfig,
+    image: &CompiledProgram,
+    kind: ProcessorKind,
+) -> PlanRun {
+    let mut gen = TrafficGen::new(plan.seed);
+    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+    let dropped = plan
+        .frame_faults
+        .iter()
+        .filter(|(i, f)| (*i as usize) < cfg.frames && matches!(f, FrameFault::Drop))
+        .count() as u64;
+    let done = |r: &LightbulbRun| {
+        r.report.counters.get("board.lan9250.frames_delivered") >= cfg.frames as u64 - dropped
+            && r.report.counters.get("board.lan9250.frames_pending") == 0
+    };
+    let cat = match kind {
+        ProcessorKind::SpecMachine => "riscv",
+        _ => "processor",
+    };
+    let mut sys = cfg.system;
+    sys.processor = kind;
+    let (quick, ms) = tr.span(cat, "run_faulted", || {
+        sys.run_faulted(image, plan, &frames, cfg.quick_cycles)
+    });
+    if done(&quick) || cfg.max_cycles <= cfg.quick_cycles {
+        return PlanRun {
+            run: quick,
+            ms,
+            rerun_ms: None,
+        };
+    }
+    let (full, rerun_ms) = tr.span(cat, "run_faulted_rerun", || {
+        sys.run_faulted(image, plan, &frames, cfg.max_cycles)
+    });
+    PlanRun {
+        run: full,
+        ms: ms + rerun_ms,
+        rerun_ms: Some(rerun_ms),
+    }
+}
+
 /// The state of one benchmark run: the op loop's clock and limits, the
 /// end-to-end samples, and (in a traced run) the per-layer accumulators.
 pub struct Run {
@@ -188,6 +262,12 @@ pub struct Run {
     pending: Vec<f64>,
     /// Wall time spent inside ops, ms.
     pub busy_ms: f64,
+    /// Set-up samples in ms: the set-up before the first op, then
+    /// [`SETUP_REPEATS`] more after every op of an untraced run, so that
+    /// the samples spread over the whole run as the op samples do.
+    pub setup_ms: Vec<f64>,
+    /// Repeats the workload's set-up and returns its time in ms.
+    pub resetup: Option<Box<dyn Fn() -> f64>>,
     pub attempted: u64,
     pub failed: u64,
     /// Why ops failed; printed on stderr.
@@ -210,6 +290,8 @@ impl Run {
             sample_every: 1,
             pending: Vec::new(),
             busy_ms: 0.0,
+            setup_ms: Vec::new(),
+            resetup: None,
             attempted: 0,
             failed: 0,
             failures: Vec::new(),
@@ -258,6 +340,11 @@ impl Run {
         if let Err(e) = check {
             self.failed += n;
             self.failures.push(e);
+        }
+        if let Some(setup) = &self.resetup {
+            for _ in 0..SETUP_REPEATS {
+                self.setup_ms.push(setup());
+            }
         }
     }
 

@@ -3,25 +3,42 @@
 //! One op is one seed, checked inside `fault_sweep_with` (1 shard, default
 //! config and options). A seed family's input is [`FAMILY_SEEDS`]
 //! consecutive plan seeds; a run sweeps them in chunks of [`CHUNK`]
-//! (per-sweep set-up is paid once per chunk, as in a real sweep), starting
-//! at the seed's rotation and wrapping while time remains. Every chunk
-//! must come back clean and its deterministic counters must equal the sum
-//! of the recorded per-seed fingerprints.
+//! (per-sweep set-up is paid once per chunk, as in a real sweep), in the
+//! order of [`input_index`]. Every chunk must come back clean and its
+//! deterministic counters must equal the sum of the recorded per-seed
+//! fingerprints.
 
-use crate::common::{family, timed, Run, FAMILIES};
+use crate::common::{input_index, run_plan, timed, Run, FAMILIES};
 use crate::reference::{Fingerprint, Reference};
-use lightbulb_system::devices::{FaultPlan, FrameFault, TrafficGen};
+use lightbulb_system::compiler::CompiledProgram;
+use lightbulb_system::devices::FaultPlan;
 use lightbulb_system::integration::{
-    build_image, fault_sweep_with, FaultSweepConfig, FaultSweepOptions, LightbulbRun,
-    ProcessorKind, SweepReport,
+    build_image, fault_sweep_with, FaultSweepConfig, FaultSweepOptions, ProcessorKind, SweepReport,
 };
 use lightbulb_system::lightbulb::{good_hl_trace, probe};
 use std::ops::Range;
 
 /// Plan seeds per family: family `f` sweeps `f * FAMILY_SEEDS..`.
 pub const FAMILY_SEEDS: u64 = 32;
-/// Seeds per `fault_sweep_with` call.
-pub const CHUNK: u64 = 8;
+/// Seeds per `fault_sweep_with` call, and per latency sample.
+pub const CHUNK: u64 = 2;
+
+/// `fault_sweep_with` compiles its image inside every call, so the sweep
+/// has no set-up of its own. The workload's set-up is that per-call
+/// compile, done once on its own; the traced run's attribution runs on
+/// its image.
+pub struct Setup {
+    pub cfg: FaultSweepConfig,
+    pub image: CompiledProgram,
+}
+
+pub fn setup() -> Setup {
+    let cfg = FaultSweepConfig::default();
+    Setup {
+        image: build_image(&cfg.system),
+        cfg,
+    }
+}
 
 /// The recorded counters a clean sweep over `seeds` must report.
 pub fn expected_fingerprint(
@@ -75,20 +92,18 @@ pub fn check(
 }
 
 fn chunk(seed: u64, k: u64) -> Range<u64> {
-    let chunks = FAMILY_SEEDS / CHUNK;
-    let (f, rot) = family(seed, chunks as usize);
-    let start = f as u64 * FAMILY_SEEDS + (rot as u64 + k) % chunks * CHUNK;
+    let start = input_index(seed, (FAMILY_SEEDS / CHUNK) as usize, k) as u64 * CHUNK;
     start..start + CHUNK
 }
 
-pub fn run(run: &mut Run, reference: &Reference, cfg: &FaultSweepConfig) {
-    let opts = FaultSweepOptions::default();
+pub fn run(run: &mut Run, reference: &Reference, setup: &Setup) {
+    let (cfg, opts) = (&setup.cfg, FaultSweepOptions::default());
     let mut k = 0;
     while run.more() {
         let seeds = chunk(run.seed, k);
         let expected = expected_fingerprint(reference, seeds.clone());
         if run.tracer.is_some() {
-            traced_chunk(run, k, seeds, cfg, &opts, expected);
+            traced_chunk(run, k, seeds, setup, &opts, expected);
         } else {
             let (report, ms) = timed(|| fault_sweep_with(seeds.clone(), 1, cfg, &opts));
             let verdict = expected.and_then(|e| check(&report, seeds, &e));
@@ -106,10 +121,11 @@ fn traced_chunk(
     run: &mut Run,
     k: u64,
     seeds: Range<u64>,
-    cfg: &FaultSweepConfig,
+    setup: &Setup,
     opts: &FaultSweepOptions,
     expected: Result<Fingerprint, String>,
 ) {
+    let (cfg, image) = (&setup.cfg, &setup.image);
     let first = k == 0;
     let tr = run.tracer.as_mut().expect("traced run");
     tr.set_op(k);
@@ -120,63 +136,30 @@ fn traced_chunk(
     let verdict = expected.and_then(|e| check(&report, seeds.clone(), &e));
 
     let attribution = tr.begin("perfbench", "attribution");
-    let (image, compile_ms) = tr.span("compiler", "build_image", || build_image(&cfg.system));
+    let (_, compile_ms) = tr.span("compiler", "build_image", || build_image(&cfg.system));
     let mut sums: Vec<(&'static str, f64)> = vec![("compiler.compile_ms", compile_ms)];
     let mut spanned = compile_ms;
     let mut fp: Vec<(&'static str, u64)> = Vec::new();
     for seed in seeds.clone() {
         let seed_span = tr.begin("integration", "seed");
         let plan = FaultPlan::from_seed(seed);
-        let mut gen = TrafficGen::new(seed);
-        let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-        let dropped = plan
-            .frame_faults
-            .iter()
-            .filter(|(i, f)| (*i as usize) < cfg.frames && matches!(f, FrameFault::Drop))
-            .count() as u64;
-        let expected_arrivals = cfg.frames as u64 - dropped;
-        let done = |r: &LightbulbRun| {
-            r.report.counters.get("board.lan9250.frames_delivered") >= expected_arrivals
-                && r.report.counters.get("board.lan9250.frames_pending") == 0
-        };
-
         let (spec, spec_ms) = tr.span("lightbulb", "good_hl_trace", || {
             good_hl_trace(cfg.system.driver)
         });
         sums.push(("lightbulb.spec_build_ms", spec_ms));
         spanned += spec_ms;
 
-        let mut models = Vec::new();
-        for (kind, cat, key) in [
-            (
-                ProcessorKind::Pipelined,
-                "processor",
-                "processor.pipeline_ms",
-            ),
-            (ProcessorKind::SpecMachine, "riscv", "riscv.specmachine_ms"),
-        ] {
-            let mut sys = cfg.system;
-            sys.processor = kind;
-            let (quick, quick_ms) = tr.span(cat, "run_faulted", || {
-                sys.run_faulted(&image, &plan, &frames, cfg.quick_cycles)
-            });
-            let mut ms = quick_ms;
-            let full = if done(&quick) {
-                quick
-            } else {
-                let (full, rerun_ms) = tr.span(cat, "run_faulted_rerun", || {
-                    sys.run_faulted(&image, &plan, &frames, cfg.max_cycles)
-                });
-                ms += rerun_ms;
-                if kind == ProcessorKind::Pipelined {
+        let mut pipeline_events = Vec::new();
+        for kind in [ProcessorKind::Pipelined, ProcessorKind::SpecMachine] {
+            let model = run_plan(tr, &plan, cfg, image, kind);
+            let full = &model.run;
+            spanned += model.ms;
+            if kind == ProcessorKind::Pipelined {
+                if let Some(rerun_ms) = model.rerun_ms {
                     sums.push(("processor.reruns", 1.0));
                     sums.push(("processor.rerun_ms", rerun_ms));
                 }
-                full
-            };
-            sums.push((key, ms));
-            spanned += ms;
-            if kind == ProcessorKind::Pipelined {
+                sums.push(("processor.pipeline_ms", model.ms));
                 sums.push(("processor.quick_runs", 1.0));
                 sums.push(("processor.pipeline_cycles", full.cycles as f64));
                 sums.push((
@@ -192,6 +175,7 @@ fn traced_chunk(
                     full.report.counters.get("pipeline.btb.miss"),
                 ));
             } else {
+                sums.push(("riscv.specmachine_ms", model.ms));
                 sums.push(("riscv.specmachine_instret", full.cycles as f64));
             }
             let (ok, match_ms) = tr.span("proglogic", "matches_prefix", || {
@@ -201,9 +185,11 @@ fn traced_chunk(
             sums.push(("proglogic.match_ms", match_ms));
             sums.push(("proglogic.events_matched", full.events.len() as f64));
             spanned += match_ms;
-            models.push(full);
+            if kind == ProcessorKind::Pipelined {
+                pipeline_events = model.run.events;
+            }
         }
-        std::hint::black_box(probe::scan(&models[0].events));
+        std::hint::black_box(probe::scan(&pipeline_events));
         tr.end(seed_span);
     }
     tr.end(attribution);
@@ -238,8 +224,8 @@ fn traced_chunk(
 }
 
 /// Records the per-seed fingerprints of every family's plan seeds.
-pub fn record(cfg: &FaultSweepConfig) -> Vec<Fingerprint> {
-    let opts = FaultSweepOptions::default();
+pub fn record(setup: &Setup) -> Vec<Fingerprint> {
+    let (cfg, opts) = (&setup.cfg, FaultSweepOptions::default());
     (0..FAMILIES * FAMILY_SEEDS)
         .map(|seed| {
             let report = fault_sweep_with(seed..seed + 1, 1, cfg, &opts);

@@ -5,7 +5,6 @@
 //! ```text
 //! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //!           [--chrome <path>] [--reference <path>]
-//! perfbench --workload <name> --setup-only     # set up, print "ready", exit
 //! perfbench --record [--reference <path>]      # re-record reference.json
 //! ```
 //!
@@ -23,36 +22,32 @@ mod triage;
 #[cfg(test)]
 mod selftest;
 
-use common::{median, peak_rss_mb, per_layer, Run, PER_LAYER};
-use lightbulb_system::integration::FaultSweepConfig;
+use common::{median, peak_rss_mb, per_layer, timed, Run, PER_LAYER};
 use lightbulb_system::obs::json::Value;
 use reference::Reference;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 pub const WORKLOADS: [&str; 4] = ["fault_sweep", "triage", "refinement", "driver_verify"];
 
 struct Args {
-    workload: String,
+    workload: &'static str,
     seed: u64,
-    seconds: f64,
+    seconds: Option<f64>,
     trace: bool,
     chrome: Option<PathBuf>,
     reference: PathBuf,
-    setup_only: bool,
     record: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        workload: String::new(),
+        workload: "",
         seed: 1,
-        seconds: 10.0,
+        seconds: None,
         trace: false,
         chrome: None,
         reference: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/reference.json")),
-        setup_only: false,
         record: false,
     };
     let mut it = std::env::args().skip(1);
@@ -60,28 +55,31 @@ fn parse_args() -> Result<Args, String> {
         let mut value = || it.next().ok_or(format!("{flag} needs a value"));
         let number = |v: String| v.parse::<f64>().map_err(|e| format!("{flag}: {e}"));
         match flag.as_str() {
-            "--workload" => args.workload = value()?,
+            "--workload" => {
+                let name = value()?;
+                args.workload = WORKLOADS
+                    .into_iter()
+                    .find(|w| *w == name)
+                    .ok_or(format!("--workload must be one of {WORKLOADS:?}"))?;
+            }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--seconds" => args.seconds = number(value()?)?,
+            "--seconds" => args.seconds = Some(number(value()?)?),
             "--trace" => args.trace = value()? == "1",
             "--chrome" => args.chrome = Some(PathBuf::from(value()?)),
             "--reference" => args.reference = PathBuf::from(value()?),
-            "--setup-only" => args.setup_only = true,
             "--record" => args.record = true,
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if !args.record && !WORKLOADS.contains(&args.workload.as_str()) {
-        return Err(format!("--workload must be one of {WORKLOADS:?}"));
+    if !args.record && (args.workload.is_empty() || args.seconds.is_none()) {
+        return Err("a run needs --workload and --seconds".to_string());
     }
     Ok(args)
 }
 
 /// A workload's set-up product.
 enum Prepared {
-    /// `fault_sweep_with` compiles the image and builds the trace spec
-    /// inside every call, so the sweep's set-up is only its configuration.
-    FaultSweep(FaultSweepConfig),
+    FaultSweep(fault_sweep::Setup),
     Triage(Box<triage::Setup>),
     Refinement(refinement::Setup),
     DriverVerify(driver_verify::Setup),
@@ -89,27 +87,34 @@ enum Prepared {
 
 fn prepare(workload: &str) -> Prepared {
     match workload {
-        "fault_sweep" => Prepared::FaultSweep(FaultSweepConfig::default()),
+        "fault_sweep" => Prepared::FaultSweep(fault_sweep::setup()),
         "triage" => Prepared::Triage(Box::new(triage::setup())),
         "refinement" => Prepared::Refinement(refinement::setup()),
         _ => Prepared::DriverVerify(driver_verify::setup()),
     }
 }
 
-/// Runs `workload` until the time budget is used, in this process.
+/// Runs `workload` until the time budget is used, in this process. The
+/// set-up is timed here, and an untraced run repeats it after every op.
 pub fn run_workload(
-    workload: &str,
+    workload: &'static str,
     reference: &Reference,
     seed: u64,
     seconds: f64,
     max_ops: Option<u64>,
     traced: bool,
 ) -> Run {
-    let prepared = prepare(workload);
+    let (prepared, setup_ms) = timed(|| prepare(workload));
     let mut run = Run::new(seed, seconds, max_ops, traced);
+    run.setup_ms.push(setup_ms);
+    if !traced {
+        run.resetup = Some(Box::new(move || {
+            timed(|| std::hint::black_box(prepare(workload))).1
+        }));
+    }
     run.start();
     match &prepared {
-        Prepared::FaultSweep(cfg) => fault_sweep::run(&mut run, reference, cfg),
+        Prepared::FaultSweep(s) => fault_sweep::run(&mut run, reference, s),
         Prepared::Triage(s) => triage::run(&mut run, reference, s),
         Prepared::Refinement(s) => refinement::run(&mut run, reference, s),
         Prepared::DriverVerify(s) => driver_verify::run(&mut run, reference, s),
@@ -132,18 +137,20 @@ fn result(args: &Args, run: &Run) -> Value {
         }
     } else if !run.op_ms.is_empty() {
         metrics = metrics
+            .field("setup_s", metric(median(&run.setup_ms) / 1e3, "s"))
             .field("ops_per_s", metric(run.ops_per_s(), "1/s"))
             .field("op_p50_ms", metric(median(&run.op_ms), "ms"))
             .field("peak_rss_mb", metric(peak_rss_mb(), "MiB"));
     }
     Value::obj()
-        .field("workload", Value::Str(args.workload.clone()))
+        .field("workload", Value::Str(args.workload.to_string()))
         .field("seed", Value::UInt(args.seed))
         .field("trace", Value::Bool(args.trace))
         .field("correct", Value::Bool(run.failed == 0 && run.attempted > 0))
         .field("attempted", Value::UInt(run.attempted))
         .field("failed", Value::UInt(run.failed))
         .field("latency_samples", Value::UInt(run.op_ms.len() as u64))
+        .field("setup_samples", Value::UInt(run.setup_ms.len() as u64))
         .field("busy_s", Value::Float(run.busy_ms / 1e3))
         .field(
             "op_ms",
@@ -167,7 +174,7 @@ fn record(path: &std::path::Path) -> Result<(), String> {
     let t = triage::setup();
     reference.liveness = triage::record(&t, triage::Kind::Liveness);
     reference.safety = triage::record(&t, triage::Kind::Safety);
-    reference.sweep = fault_sweep::record(&FaultSweepConfig::default());
+    reference.sweep = fault_sweep::record(&fault_sweep::setup());
     eprintln!("record: {} sweep seeds", reference.sweep.len());
     std::fs::write(path, reference.to_json().render() + "\n")
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
@@ -197,17 +204,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.setup_only {
-        std::hint::black_box(prepare(&args.workload));
-        println!("ready");
-        let _ = std::io::stdout().flush();
-        return ExitCode::SUCCESS;
-    }
     let run = run_workload(
-        &args.workload,
+        args.workload,
         &reference,
         args.seed,
-        args.seconds,
+        args.seconds.expect("checked by parse_args"),
         None,
         args.trace,
     );

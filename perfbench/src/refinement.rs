@@ -3,15 +3,15 @@
 //! single-cycle replay only, no trace spec: the control workload that
 //! matcher changes must leave alone.
 
-use crate::common::{family, timed, Run, FAMILIES};
+use crate::common::{input_index, timed, Run, FAMILIES};
 use crate::reference::{Reference, RefinementRef};
 use lightbulb_system::devices::{Board, FaultPlan, SpiConfig, TrafficGen};
 use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
 use lightbulb_system::lightbulb::probe;
 use lightbulb_system::processor::{check_refinement, Divergence, RefinementReport};
 
-/// Traffic seeds per family: family `f` uses `f * FAMILY_SEEDS..`, from
-/// the seed's rotation, wrapping while time remains.
+/// Traffic seeds per family: family `f` uses `f * FAMILY_SEEDS..`, in the
+/// order of [`input_index`].
 pub const FAMILY_SEEDS: usize = 16;
 /// Cycle budget of one op.
 pub const CYCLES: u64 = 5_000_000;
@@ -83,10 +83,9 @@ pub fn check(
 }
 
 pub fn run(run: &mut Run, reference: &Reference, setup: &Setup) {
-    let (f, rot) = family(run.seed, FAMILY_SEEDS);
     let mut k = 0u64;
     while run.more() {
-        let seed = (f * FAMILY_SEEDS + (rot + k as usize) % FAMILY_SEEDS) as u64;
+        let seed = input_index(run.seed, FAMILY_SEEDS, k) as u64;
         let input = frames(seed);
         let expected = reference
             .refinement

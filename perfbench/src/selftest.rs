@@ -2,7 +2,7 @@
 //! wrong output, and every workload must complete one checked op.
 //! Run with `python3 perfbench/run.py --selftest`.
 
-use crate::common::{per_layer, PER_LAYER};
+use crate::common::{input_index, per_layer, FAMILIES, PER_LAYER, SETUP_REPEATS};
 use crate::reference::Reference;
 use crate::{driver_verify, fault_sweep, refinement, run_workload, triage, WORKLOADS};
 use lightbulb_system::devices::FaultPlan;
@@ -96,7 +96,10 @@ fn a_wrong_refinement_event_count_is_caught() {
         "{:?}",
         run.failures
     );
-    assert_eq!(refinement::FAMILY_SEEDS * 4, reference.refinement.len());
+    assert_eq!(
+        refinement::FAMILY_SEEDS * FAMILIES as usize,
+        reference.refinement.len()
+    );
 }
 
 #[test]
@@ -107,6 +110,8 @@ fn every_workload_runs_one_checked_op_untraced_and_traced() {
             let run = run_workload(w, &reference, 1, 600.0, Some(1), traced);
             assert!(run.attempted >= 1, "{w}: no op ran");
             assert_eq!(run.failed, 0, "{w} (traced {traced}): {:?}", run.failures);
+            let setup_samples = if traced { 1 } else { 1 + SETUP_REPEATS };
+            assert_eq!(run.setup_ms.len(), setup_samples, "{w}: set-up samples");
             if traced {
                 let layers = per_layer(&run);
                 assert_eq!(layers.len(), PER_LAYER.len());
@@ -118,4 +123,28 @@ fn every_workload_runs_one_checked_op_untraced_and_traced() {
             }
         }
     }
+}
+
+#[test]
+fn runs_of_one_family_differ_only_in_their_first_pass_order() {
+    let len = 5;
+    let inputs = |seed: u64| (0..3 * len as u64).map(move |k| input_index(seed, len, k));
+    for seed in [1, 2, 7, 1001, 1002] {
+        let family = (seed / 1000 % FAMILIES) as usize;
+        let first: Vec<usize> = inputs(seed).take(len).collect();
+        let mut sorted = first.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (family * len..(family + 1) * len).collect::<Vec<_>>()
+        );
+        let later: Vec<usize> = inputs(seed).skip(len).collect();
+        let canonical: Vec<usize> = (0..2 * len).map(|k| family * len + k % len).collect();
+        assert_eq!(later, canonical, "seed {seed}: repeats are pinned");
+    }
+    assert_eq!(
+        input_index(2001, len, len as u64),
+        input_index(1, len, len as u64),
+        "seed 2001 wraps onto family 0"
+    );
 }

@@ -4,7 +4,8 @@
 //! A plant is a seeded plan of three noise atoms plus one culprit atom, so
 //! every plant has the same shape and ddmin makes the same number of
 //! probes on each. A seed family's input is [`FAMILY_PLANTS`] plants of
-//! each kind; a run cycles through them in pairs from the seed's rotation.
+//! each kind; a run goes through them in liveness/safety pairs, in the
+//! order of [`input_index`].
 //!
 //! * Liveness: culprit `ByteTestJunk(10_000)` (bring-up never succeeds) on
 //!   the verified image under `require_done`.
@@ -12,13 +13,13 @@
 //!   timeouts, checked against the verified spec: the unbounded polling
 //!   loop leaves `goodHlTrace`, found by `longest_matching_prefix`.
 
-use crate::common::{family, splitmix, timed, Run, FAMILIES};
+use crate::common::{input_index, run_plan, splitmix, timed, Run, FAMILIES};
 use crate::reference::{Reference, TriageRef};
 use lightbulb_system::compiler::CompiledProgram;
-use lightbulb_system::devices::{FaultAtom, FaultPlan, FrameFault, TrafficGen};
+use lightbulb_system::devices::{FaultAtom, FaultPlan};
 use lightbulb_system::integration::{
     build_image, fault_check_plan, shrink_plan, triage_plan, DiffError, FaultSweepConfig,
-    LightbulbRun, ProcessorKind, SystemConfig, TriageReport,
+    ProcessorKind, SystemConfig, TriageReport,
 };
 use lightbulb_system::lightbulb::{good_hl_trace, DriverOptions};
 use lightbulb_system::obs::Counters;
@@ -189,11 +190,7 @@ fn op_input(seed: u64, k: u64) -> (Kind, usize) {
     } else {
         Kind::Safety
     };
-    let (f, rot) = family(seed, FAMILY_PLANTS);
-    (
-        kind,
-        f * FAMILY_PLANTS + (rot + (k / 2) as usize) % FAMILY_PLANTS,
-    )
+    (kind, input_index(seed, FAMILY_PLANTS, k / 2))
 }
 
 pub fn run(run: &mut Run, reference: &Reference, setup: &Setup) {
@@ -271,35 +268,13 @@ fn traced_op(
 
     // The minimal plan's failing run, as a probe sees it: quick pass,
     // full-budget rerun when the workload is unfinished, then the match.
-    let mut gen = TrafficGen::new(minimal.seed);
-    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-    let dropped = minimal
-        .frame_faults
-        .iter()
-        .filter(|(i, f)| (*i as usize) < cfg.frames && matches!(f, FrameFault::Drop))
-        .count() as u64;
-    let done = |r: &LightbulbRun| {
-        r.report.counters.get("board.lan9250.frames_delivered") >= cfg.frames as u64 - dropped
-            && r.report.counters.get("board.lan9250.frames_pending") == 0
-    };
-    let mut sys = cfg.system;
-    sys.processor = ProcessorKind::Pipelined;
-    let (quick, quick_ms) = tr.span("processor", "run_faulted", || {
-        sys.run_faulted(image, &minimal, &frames, cfg.quick_cycles)
-    });
+    let model = run_plan(tr, &minimal, cfg, image, ProcessorKind::Pipelined);
     let mut sums = vec![("processor.quick_runs", 1.0)];
-    let mut pipeline_ms = quick_ms;
-    let full = if done(&quick) {
-        quick
-    } else {
-        let (full, rerun_ms) = tr.span("processor", "run_faulted_rerun", || {
-            sys.run_faulted(image, &minimal, &frames, cfg.max_cycles)
-        });
+    if let Some(rerun_ms) = model.rerun_ms {
         sums.push(("processor.reruns", 1.0));
         sums.push(("processor.rerun_ms", rerun_ms));
-        pipeline_ms += rerun_ms;
-        full
-    };
+    }
+    let (pipeline_ms, full) = (model.ms, model.run);
     let (spec, spec_ms) = tr.span("lightbulb", "good_hl_trace", || {
         good_hl_trace(cfg.system.driver)
     });
