@@ -174,7 +174,8 @@ def run_all(args, binary):
         log(f"\n== {w}: {plain['attempted']} ops, failed_frac {failed_frac:g}, "
             f"traced/untraced ops_per_s overhead {overhead:.1%}")
         print_table([(k, v["value"], v["unit"]) for k, v in metrics.items()]
-                    + [("failed_frac", failed_frac, "fraction")])
+                    + [("failed_frac", failed_frac, "fraction"),
+                       ("op_p50_ms", plain["op_p50_ms"], "ms")])
         log("  -- traced, per layer --")
         print_table([(k, v["value"], v["unit"]) for k, v in layers.items()])
     OUT.mkdir(exist_ok=True)

@@ -253,13 +253,9 @@ pub struct Run {
     started: Instant,
     seconds: Duration,
     max_ops: u64,
-    /// Latency samples in ms per op: one per op, per op group
-    /// ([`Run::record_group`]) or per [`Run::sample_every`] ops.
+    /// Latency samples in ms per op: one per op, or one per op group
+    /// ([`Run::record_group`]).
     pub op_ms: Vec<f64>,
-    /// How many consecutive ops [`Run::record`] folds into one latency
-    /// sample (1 unless a workload alternates op kinds).
-    pub sample_every: u64,
-    pending: Vec<f64>,
     /// Wall time spent inside ops, ms.
     pub busy_ms: f64,
     /// Set-up samples in ms: the set-up before the first op, then
@@ -287,8 +283,6 @@ impl Run {
             seconds: Duration::from_secs_f64(seconds),
             max_ops: max_ops.unwrap_or(u64::MAX),
             op_ms: Vec::new(),
-            sample_every: 1,
-            pending: Vec::new(),
             busy_ms: 0.0,
             setup_ms: Vec::new(),
             resetup: None,
@@ -315,16 +309,9 @@ impl Run {
         self.attempted < self.max_ops && self.started.elapsed() < self.seconds
     }
 
-    /// Records one op's latency and its output check. Every
-    /// [`Run::sample_every`] consecutive ops give one latency sample: their
-    /// mean time per op.
+    /// Records one op's latency and its output check.
     pub fn record(&mut self, ms: f64, check: Result<(), String>) {
-        self.count(1, ms, check);
-        self.pending.push(ms);
-        if self.pending.len() as u64 == self.sample_every {
-            let n = self.pending.len() as f64;
-            self.op_ms.push(self.pending.drain(..).sum::<f64>() / n);
-        }
+        self.record_group(1, ms, check);
     }
 
     /// Records `n` ops checked together in `ms` (a sweep chunk): one

@@ -19,7 +19,7 @@ use lightbulb_system::lightbulb::{good_hl_trace, probe};
 use std::ops::Range;
 
 /// Plan seeds per family: family `f` sweeps `f * FAMILY_SEEDS..`.
-pub const FAMILY_SEEDS: u64 = 32;
+pub const FAMILY_SEEDS: u64 = 8;
 /// Seeds per `fault_sweep_with` call, and per latency sample.
 pub const CHUNK: u64 = 2;
 

@@ -139,7 +139,6 @@ fn result(args: &Args, run: &Run) -> Value {
         metrics = metrics
             .field("setup_s", metric(median(&run.setup_ms) / 1e3, "s"))
             .field("ops_per_s", metric(run.ops_per_s(), "1/s"))
-            .field("op_p50_ms", metric(median(&run.op_ms), "ms"))
             .field("peak_rss_mb", metric(peak_rss_mb(), "MiB"));
     }
     Value::obj()
@@ -152,6 +151,14 @@ fn result(args: &Args, run: &Run) -> Value {
         .field("latency_samples", Value::UInt(run.op_ms.len() as u64))
         .field("setup_samples", Value::UInt(run.setup_ms.len() as u64))
         .field("busy_s", Value::Float(run.busy_ms / 1e3))
+        .field(
+            "op_p50_ms",
+            Value::Float(if run.op_ms.is_empty() {
+                0.0
+            } else {
+                median(&run.op_ms)
+            }),
+        )
         .field(
             "op_ms",
             Value::Arr(run.op_ms.iter().map(|&ms| Value::Float(ms)).collect()),

@@ -12,7 +12,7 @@ use lightbulb_system::processor::{check_refinement, Divergence, RefinementReport
 
 /// Traffic seeds per family: family `f` uses `f * FAMILY_SEEDS..`, in the
 /// order of [`input_index`].
-pub const FAMILY_SEEDS: usize = 16;
+pub const FAMILY_SEEDS: usize = 1;
 /// Cycle budget of one op.
 pub const CYCLES: u64 = 5_000_000;
 /// Mixed (valid and malformed) frames injected per op.

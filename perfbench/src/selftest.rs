@@ -110,7 +110,10 @@ fn every_workload_runs_one_checked_op_untraced_and_traced() {
             let run = run_workload(w, &reference, 1, 600.0, Some(1), traced);
             assert!(run.attempted >= 1, "{w}: no op ran");
             assert_eq!(run.failed, 0, "{w} (traced {traced}): {:?}", run.failures);
-            let setup_samples = if traced { 1 } else { 1 + SETUP_REPEATS };
+            // Set-up repeats after every recorded call: a sweep call checks
+            // two seeds, and triage completes its liveness/safety pair.
+            let calls = run.op_ms.len();
+            let setup_samples = if traced { 1 } else { 1 + SETUP_REPEATS * calls };
             assert_eq!(run.setup_ms.len(), setup_samples, "{w}: set-up samples");
             if traced {
                 let layers = per_layer(&run);

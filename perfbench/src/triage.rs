@@ -26,7 +26,7 @@ use lightbulb_system::obs::Counters;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Plants of each kind per family: family `f` uses `f * FAMILY_PLANTS..`.
-pub const FAMILY_PLANTS: usize = 2;
+pub const FAMILY_PLANTS: usize = 1;
 /// The liveness culprit.
 pub const JUNK_READS: u32 = 10_000;
 
@@ -195,10 +195,7 @@ fn op_input(seed: u64, k: u64) -> (Kind, usize) {
 
 pub fn run(run: &mut Run, reference: &Reference, setup: &Setup) {
     let mut k = 0u64;
-    // Ops run in liveness/safety pairs, so every run weighs both alike, and
-    // a pair is one latency sample: the median of single ops would fall in
-    // the gap between the two kinds and follow whichever op lands there.
-    run.sample_every = 2;
+    // Ops run in liveness/safety pairs, so every run weighs both alike.
     while run.more() || !k.is_multiple_of(2) {
         let (kind, i) = op_input(run.seed, k);
         let plan = plant(kind, i);
