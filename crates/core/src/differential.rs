@@ -29,6 +29,7 @@ use obs::json::Value;
 use obs::Counters;
 use processor::refinement::ReplayHandler;
 use processor::{Divergence, SingleCycle};
+use proglogic::trace::{Monitor, TracePred};
 use riscv_spec::{Memory, MmioEvent, SpecMachine, StepOutcome};
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -972,10 +973,30 @@ pub fn fault_check_plan(
     image: &CompiledProgram,
     counters: &mut Counters,
 ) -> Result<(), DiffError> {
+    fault_check_against(
+        plan,
+        cfg,
+        image,
+        &good_hl_trace(cfg.system.driver),
+        counters,
+    )
+}
+
+/// [`fault_check_plan`] against a prebuilt `spec` (which must be
+/// `good_hl_trace(cfg.system.driver)`), so a sweep or a triage pass builds
+/// the specification once. One [`Monitor`] checks the pipelined trace and
+/// then the spec-machine trace, reusing the states the first trace built.
+pub(crate) fn fault_check_against(
+    plan: &FaultPlan,
+    cfg: &FaultSweepConfig,
+    image: &CompiledProgram,
+    spec: &TracePred,
+    counters: &mut Counters,
+) -> Result<(), DiffError> {
     let seed = plan.seed;
     let mut gen = TrafficGen::new(seed);
     let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-    let spec = good_hl_trace(cfg.system.driver);
+    let mut monitor = Monitor::new(spec);
 
     // Frames the plan drops never reach the chip; everything else must be
     // consumed (status popped, pending queue empty) for a run to count as
@@ -1013,9 +1034,9 @@ pub fn fault_check_plan(
     );
     counters.add("driver.retries", activity.retries);
     counters.add("driver.reinit", activity.reinits);
-    if !spec.matches_prefix(&pipe.events) {
+    if let Some(matched) = monitor.first_violation(&pipe.events) {
         return Err(DiffError::SpecViolation {
-            matched: spec.longest_matching_prefix(&pipe.events),
+            matched,
             total: pipe.events.len(),
             model: "pipelined",
         });
@@ -1027,9 +1048,9 @@ pub fn fault_check_plan(
             "spec machine under fault plan {seed}: {e}"
         )));
     }
-    if !spec.matches_prefix(&sm.events) {
+    if let Some(matched) = monitor.first_violation(&sm.events) {
         return Err(DiffError::SpecViolation {
-            matched: spec.longest_matching_prefix(&sm.events),
+            matched,
             total: sm.events.len(),
             model: "spec machine",
         });
@@ -1143,9 +1164,9 @@ pub fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig
 }
 
 /// Sweeps seeded fault plans through [`fault_check`], sharded like
-/// [`parallel_sweep`]. The boot image is compiled once and shared across
-/// shards; each seed builds its own trace predicate (they are `Rc`-based
-/// and stay thread-local). The report's counters carry the sweep's
+/// [`parallel_sweep`]. The boot image and the `goodHlTrace` predicate are
+/// built once and shared across shards; each seed's check builds its own
+/// [`Monitor`] state table. The report's counters carry the sweep's
 /// aggregate fault/recovery telemetry. This is [`fault_sweep_with`] under
 /// default options: escalating retries, automatic triage of the first few
 /// failures, no checkpointing.
@@ -1166,11 +1187,13 @@ pub fn fault_sweep_with(
     opts: &FaultSweepOptions,
 ) -> SweepReport {
     let image = build_image(&cfg.system);
+    let spec = good_hl_trace(cfg.system.driver);
     let mut report = resilient_sweep(seeds, shards, &opts.sweep, |seed, attempt, counters| {
-        fault_check_plan(
+        fault_check_against(
             &FaultPlan::from_seed(seed),
             &escalate_budget(cfg, attempt),
             &image,
+            &spec,
             counters,
         )
     });

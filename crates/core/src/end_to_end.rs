@@ -8,12 +8,14 @@
 //!
 //! [`end_to_end_lightbulb`] checks exactly that statement on a concrete
 //! run: build the image, run the chosen processor against the board under
-//! a traffic workload, and test the recorded MMIO trace with
-//! `matches_prefix`. On failure it reports *where* the trace stopped
-//! matching — the debugging affordance a failed `Qed` never gives you.
+//! a traffic workload, and feed the recorded MMIO trace to a
+//! [`Monitor`] for `goodHlTrace`. On failure the monitor reports *where*
+//! the trace stopped matching — the debugging affordance a failed `Qed`
+//! never gives you.
 
 use crate::system::{LightbulbRun, SystemConfig};
 use lightbulb::good_hl_trace;
+use proglogic::trace::Monitor;
 use riscv_spec::MmioEvent;
 
 /// Why an end-to-end check failed.
@@ -113,8 +115,8 @@ pub fn end_to_end_lightbulb(
         });
     }
     let spec = good_hl_trace(config.driver);
-    if !spec.matches_prefix(&run.events) {
-        let matched = spec.longest_matching_prefix(&run.events);
+    let mut monitor = Monitor::new(&spec);
+    if let Some(matched) = monitor.first_violation(&run.events) {
         let tail = run.events[matched..run.events.len().min(matched + 8)].to_vec();
         return Err(EndToEndError::SpecViolation {
             matched,
@@ -130,7 +132,7 @@ pub fn end_to_end_lightbulb(
             });
         }
     }
-    let complete_member = spec.matches(&run.events);
+    let complete_member = monitor.accepting();
     Ok(IntegrationReport {
         events_checked: run.events.len(),
         complete_member,

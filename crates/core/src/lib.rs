@@ -12,8 +12,8 @@
 //!   core, pipelined core) against the simulated board;
 //! * [`end_to_end`] — [`end_to_end::end_to_end_lightbulb`]: run under a
 //!   network workload and check the recorded MMIO trace against the
-//!   specification (with `longest_matching_prefix` diagnostics on
-//!   failure);
+//!   specification with a streaming `proglogic::trace::Monitor`, which
+//!   names the first violating event on failure;
 //! * [`liveness`] — the always-eventually check of §4.3/§5.2: from every
 //!   reachable state the machine returns to the event-loop head within a
 //!   bounded number of instructions (which is why the drivers carry

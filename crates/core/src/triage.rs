@@ -26,13 +26,14 @@
 //! writes to disk.
 
 use crate::checkpoint::{error_to_json, event_to_json};
-use crate::differential::{fault_check_plan, DiffError, FaultSweepConfig};
+use crate::differential::{fault_check_against, DiffError, FaultSweepConfig};
 use crate::system::ProcessorKind;
 use bedrock2_compiler::CompiledProgram;
 use devices::{FaultPlan, TrafficGen};
 use lightbulb::good_hl_trace;
 use obs::json::Value;
 use obs::Counters;
+use proglogic::trace::{Monitor, TracePred};
 use riscv_spec::MmioEvent;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -227,12 +228,13 @@ pub fn triage_plan(
     cfg: &FaultSweepConfig,
     image: &CompiledProgram,
 ) -> Option<TriageReport> {
+    let spec = good_hl_trace(cfg.system.driver);
     // A probe that panics still "fails" — the minimizer must be able to
     // shrink panicking counterexamples, and an unwinding probe would
     // otherwise tear down the triage pass itself.
     let fails = |candidate: &FaultPlan| -> Option<DiffError> {
         match catch_unwind(AssertUnwindSafe(|| {
-            fault_check_plan(candidate, cfg, image, &mut Counters::new())
+            fault_check_against(candidate, cfg, image, &spec, &mut Counters::new())
         })) {
             Ok(result) => result.err(),
             Err(_) => Some(DiffError::MachineError(
@@ -241,7 +243,7 @@ pub fn triage_plan(
         }
     };
     let (minimal, error, probes) = shrink_plan(plan, fails)?;
-    let site = locate_divergence(&minimal, &error, cfg, image);
+    let site = locate_divergence(&minimal, &error, cfg, image, &spec);
     Some(TriageReport {
         seed: plan.seed,
         original: plan.clone(),
@@ -260,6 +262,7 @@ fn locate_divergence(
     error: &DiffError,
     cfg: &FaultSweepConfig,
     image: &CompiledProgram,
+    spec: &TracePred,
 ) -> DivergenceSite {
     let seed = plan.seed;
     let mut gen = TrafficGen::new(seed);
@@ -309,12 +312,9 @@ fn locate_divergence(
             // Machine errors and the like have no intrinsic index; fall
             // back to where the spec stops matching the pipelined trace,
             // then to the model mismatch point.
-            let spec = good_hl_trace(cfg.system.driver);
-            let i = if spec.matches_prefix(&pipe) {
-                first_model_mismatch()
-            } else {
-                spec.longest_matching_prefix(&pipe)
-            };
+            let i = Monitor::new(spec)
+                .first_violation(&pipe)
+                .unwrap_or_else(first_model_mismatch);
             (i, format!("fails at event {i}: {other}"))
         }
     };

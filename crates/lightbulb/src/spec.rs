@@ -52,7 +52,7 @@ use crate::layout::{self, lan};
 use proglogic::trace::{ld_if, st_if, TracePred};
 
 /// `p` repeated at most `n` times (polling loops are bounded by their
-/// timeout budget, which also keeps trace matching fast).
+/// timeout budget).
 fn at_most(p: &TracePred, n: usize) -> TracePred {
     let mut acc = TracePred::eps();
     for _ in 0..n {
@@ -77,7 +77,7 @@ fn rx_empty() -> TracePred {
     ld_if(layout::SPI_RXDATA, "empty", |v| v & layout::SPI_FLAG != 0)
 }
 
-fn rx_byte(name: &str, f: impl Fn(u8) -> bool + 'static) -> TracePred {
+fn rx_byte(name: &str, f: impl Fn(u8) -> bool + Send + Sync + 'static) -> TracePred {
     ld_if(layout::SPI_RXDATA, name, move |v| {
         v & layout::SPI_FLAG == 0 && f(v as u8)
     })
@@ -110,7 +110,7 @@ fn put(byte: Option<u8>) -> TracePred {
 }
 
 /// `spi_get()`: wait for and read one response byte satisfying `f`.
-fn get(name: &str, f: impl Fn(u8) -> bool + 'static) -> TracePred {
+fn get(name: &str, f: impl Fn(u8) -> bool + Send + Sync + 'static) -> TracePred {
     at_most(&rx_empty(), MAX_POLLS)
         .then(&rx_byte(name, f))
         .named(&format!("get[{name}]"))

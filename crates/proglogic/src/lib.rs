@@ -6,9 +6,9 @@
 //! §6.1):
 //!
 //! * [`trace`] — the regex-like trace predicates of §3.1 (`+++`, `|||`,
-//!   `^*`, `EX`), used to state `goodHlTrace` and to check recorded MMIO
-//!   traces against it (including the *prefix* acceptance the end-to-end
-//!   theorem needs);
+//!   `^*`, `EX`), used to state `goodHlTrace`, and the streaming
+//!   [`trace::Monitor`] that checks recorded MMIO traces against it
+//!   (including the *prefix* acceptance the end-to-end theorem needs);
 //! * [`term`] / [`formula`] — symbolic 32-bit words and assertions over
 //!   them;
 //! * [`solver`] — a small decision procedure (simplification, constant
@@ -43,4 +43,4 @@ pub use formula::{Formula, FormulaView};
 pub use solver::{contradictory, obligation_fingerprint, prove, Outcome, ProofCache};
 pub use symexec::{ExtSpec, SymExec, SymState, VcError};
 pub use term::Term;
-pub use trace::TracePred;
+pub use trace::{Monitor, TracePred};

@@ -12,26 +12,43 @@
 //!
 //! Because trace predicates remain ordinary logical functions in the paper
 //! (retaining "the full expressive power of higher-order logic"), atoms
-//! here are arbitrary predicates on one event, and [`TracePred::matches`]
-//! is decided by dynamic programming with per-node length bounds to keep
-//! matching fast on long traces.
+//! here are arbitrary predicates on one event. Predicates are immutable
+//! and `Send + Sync`, so one specification can be built once and shared by
+//! every thread of a sweep.
+//!
+//! Traces are checked by a [`Monitor`]: an automaton built lazily from the
+//! predicate that consumes one event at a time. A monitor state is a
+//! *continuation* — a node of the predicate followed by the rest of the
+//! sequence it sits in — and its outgoing transitions are the atoms
+//! reachable from it without consuming an event. States are only built
+//! when a trace reaches them, because the unfolded automaton of a real
+//! specification is far too large to build up front.
 //!
 //! The end-to-end theorem constrains *prefixes* of traces (the system may
-//! be mid-interaction when observed); [`TracePred::matches_prefix`] decides
-//! "can this trace be extended to a member of the set", under the
-//! assumption that every sub-predicate is satisfiable (all of the
-//! lightbulb's are).
+//! be mid-interaction when observed). A monitor accepts a prefix while its
+//! set of live states is non-empty. That is exact under one assumption,
+//! made here once for every prefix query in this module: **every atom is
+//! satisfiable** (some event satisfies it), so every live state can still
+//! be extended to a member. All of the lightbulb's atoms are.
 
+use obs::fx::FxBuild;
 use riscv_spec::MmioEvent;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A predicate over one I/O event, with a name for diagnostics.
 #[derive(Clone)]
 pub struct EventPred {
     name: String,
-    f: Rc<dyn Fn(&MmioEvent) -> bool>,
+    f: Arc<dyn Fn(&MmioEvent) -> bool + Send + Sync>,
+}
+
+impl EventPred {
+    /// Whether `e` satisfies the predicate.
+    pub fn test(&self, e: &MmioEvent) -> bool {
+        (self.f)(e)
+    }
 }
 
 impl fmt::Debug for EventPred {
@@ -40,7 +57,9 @@ impl fmt::Debug for EventPred {
     }
 }
 
-enum Node {
+/// One node of a [`TracePred`]: the structure interpreters walk
+/// ([`TracePred::node`]).
+pub enum Node {
     /// The empty trace.
     Eps,
     /// Exactly one event satisfying the predicate.
@@ -56,15 +75,11 @@ enum Node {
 /// A set of I/O traces, built from regex-like combinators.
 #[derive(Clone)]
 pub struct TracePred {
-    node: Rc<Node>,
-    /// Minimum length of any member.
-    min_len: usize,
-    /// Maximum length of any member (`None` = unbounded).
-    max_len: Option<usize>,
+    node: Arc<Node>,
     /// Optional display label ([`TracePred::named`]): rendered instead of
     /// the structure, so large sub-specifications print as one token —
     /// how the paper's spec stays "less than a page".
-    label: Option<Rc<str>>,
+    label: Option<Arc<str>>,
 }
 
 impl fmt::Debug for TracePred {
@@ -84,37 +99,22 @@ impl fmt::Debug for TracePred {
 
 impl TracePred {
     fn mk(node: Node) -> TracePred {
-        let (min_len, max_len) = match &node {
-            Node::Eps => (0, Some(0)),
-            Node::Atom(_) => (1, Some(1)),
-            Node::Concat(a, b) => (
-                a.min_len + b.min_len,
-                match (a.max_len, b.max_len) {
-                    (Some(x), Some(y)) => Some(x + y),
-                    _ => None,
-                },
-            ),
-            Node::Union(a, b) => (
-                a.min_len.min(b.min_len),
-                match (a.max_len, b.max_len) {
-                    (Some(x), Some(y)) => Some(x.max(y)),
-                    _ => None,
-                },
-            ),
-            Node::Star(a) => (0, if a.max_len == Some(0) { Some(0) } else { None }),
-        };
         TracePred {
-            node: Rc::new(node),
-            min_len,
-            max_len,
+            node: Arc::new(node),
             label: None,
         }
+    }
+
+    /// The predicate's top node. Nodes are shared, not copied, between
+    /// the predicates built from them.
+    pub fn node(&self) -> &Node {
+        &self.node
     }
 
     /// Attaches a display name: `Debug` renders the name instead of the
     /// full combinator structure (matching is unaffected).
     pub fn named(mut self, name: &str) -> TracePred {
-        self.label = Some(Rc::from(name));
+        self.label = Some(Arc::from(name));
         self
     }
 
@@ -124,10 +124,10 @@ impl TracePred {
     }
 
     /// The set of single-event traces whose event satisfies `f`.
-    pub fn atom(name: &str, f: impl Fn(&MmioEvent) -> bool + 'static) -> TracePred {
+    pub fn atom(name: &str, f: impl Fn(&MmioEvent) -> bool + Send + Sync + 'static) -> TracePred {
         TracePred::mk(Node::Atom(EventPred {
             name: name.to_string(),
-            f: Rc::new(f),
+            f: Arc::new(f),
         }))
     }
 
@@ -177,169 +177,190 @@ impl TracePred {
     }
 
     /// Decides membership of `t` in the set.
-    ///
-    /// Matching exploits that traces are concrete: for each (node, start)
-    /// pair the *set of possible end positions* is computed and memoized.
-    /// Real specifications are nearly deterministic per event, so these
-    /// sets stay tiny and matching is close to linear in the trace length.
     pub fn matches(&self, t: &[MmioEvent]) -> bool {
-        if !self.len_ok(t.len()) {
-            return false;
-        }
-        let mut memo = Memo::default();
-        self.ends(t, 0, &mut memo).contains(&t.len())
+        let mut monitor = Monitor::new(self);
+        monitor.first_violation(t).is_none() && monitor.accepting()
     }
 
     /// Decides whether `t` can be extended to a member (assuming every
-    /// sub-predicate is satisfiable).
+    /// atom is satisfiable, see the module docs).
     pub fn matches_prefix(&self, t: &[MmioEvent]) -> bool {
-        let mut memo = Memo::default();
-        self.p(t, 0, &mut memo)
+        Monitor::new(self).first_violation(t).is_none()
     }
 
     /// Length of the longest prefix of `t` accepted by
     /// [`TracePred::matches_prefix`] — the diagnostic for "where did the
-    /// trace go wrong". Prefix acceptance is monotone (an extendable trace
-    /// has extendable prefixes), so binary search applies.
+    /// trace go wrong". It is the index of the event at which a
+    /// [`Monitor`] dies, or `t.len()` when it never does: one pass over
+    /// the trace.
     pub fn longest_matching_prefix(&self, t: &[MmioEvent]) -> usize {
-        if self.matches_prefix(t) {
-            return t.len();
-        }
-        let (mut lo, mut hi) = (0usize, t.len()); // lo matches, hi doesn't
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if self.matches_prefix(&t[..mid]) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    fn key(&self) -> usize {
-        Rc::as_ptr(&self.node) as *const u8 as usize
-    }
-
-    fn len_ok(&self, n: usize) -> bool {
-        n >= self.min_len && self.max_len.is_none_or(|m| n <= m)
-    }
-
-    /// The sorted set of positions `e` such that `t[lo..e]` is a member.
-    fn ends(&self, t: &[MmioEvent], lo: usize, memo: &mut Memo) -> Rc<Vec<usize>> {
-        if let Some(r) = memo.ends.get(&(self.key(), lo)) {
-            return Rc::clone(r);
-        }
-        let result: Vec<usize> = match &*self.node {
-            Node::Eps => vec![lo],
-            Node::Atom(pred) => {
-                if lo < t.len() && (pred.f)(&t[lo]) {
-                    vec![lo + 1]
-                } else {
-                    vec![]
-                }
-            }
-            Node::Concat(a, b) => {
-                // End sets are tiny in practice (specs are nearly
-                // deterministic per event): a sort-dedup'd Vec beats a
-                // tree set on the matching hot path.
-                let mut out = Vec::new();
-                for m in a.ends(t, lo, memo).iter() {
-                    out.extend(b.ends(t, *m, memo).iter().copied());
-                }
-                if out.len() > 1 {
-                    out.sort_unstable();
-                    out.dedup();
-                }
-                out
-            }
-            Node::Union(a, b) => {
-                let mut out: Vec<usize> = a.ends(t, lo, memo).iter().copied().collect();
-                out.extend(b.ends(t, lo, memo).iter().copied());
-                if out.len() > 1 {
-                    out.sort_unstable();
-                    out.dedup();
-                }
-                out
-            }
-            Node::Star(a) => {
-                // Reachability closure over iteration boundaries.
-                let mut seen = std::collections::BTreeSet::new();
-                seen.insert(lo);
-                let mut queue = vec![lo];
-                while let Some(s) = queue.pop() {
-                    for e in a.ends(t, s, memo).iter() {
-                        if *e != s && seen.insert(*e) {
-                            queue.push(*e);
-                        }
-                    }
-                }
-                seen.into_iter().collect()
-            }
-        };
-        let rc = Rc::new(result);
-        memo.ends.insert((self.key(), lo), Rc::clone(&rc));
-        rc
-    }
-
-    /// Whether the whole remaining trace `t[lo..]` is a prefix of some
-    /// member of this set.
-    fn p(&self, t: &[MmioEvent], lo: usize, memo: &mut Memo) -> bool {
-        let n = t.len();
-        if let Some(m) = self.max_len {
-            if n - lo > m {
-                return false;
-            }
-        }
-        if let Some(&r) = memo.prefix.get(&(self.key(), lo)) {
-            return r;
-        }
-        // Seed against ε-repetition cycles in Star.
-        memo.prefix.insert((self.key(), lo), false);
-        let r = match &*self.node {
-            Node::Eps => lo == n,
-            Node::Atom(pred) => lo == n || (n - lo == 1 && (pred.f)(&t[lo])),
-            Node::Concat(a, b) => {
-                let a_ends = a.ends(t, lo, memo);
-                a_ends.iter().any(|m| b.p(t, *m, memo)) || a.p(t, lo, memo)
-            }
-            Node::Union(a, b) => a.p(t, lo, memo) || b.p(t, lo, memo),
-            Node::Star(a) => {
-                // Reachable boundaries; prefix holds if any boundary is the
-                // end of the trace or starts a prefix of one more body.
-                let mut seen = std::collections::BTreeSet::new();
-                seen.insert(lo);
-                let mut queue = vec![lo];
-                let mut ok = false;
-                while let Some(s) = queue.pop() {
-                    if s == n || a.p(t, s, memo) {
-                        ok = true;
-                        break;
-                    }
-                    for e in a.ends(t, s, memo).iter() {
-                        if *e != s && seen.insert(*e) {
-                            queue.push(*e);
-                        }
-                    }
-                }
-                ok
-            }
-        };
-        memo.prefix.insert((self.key(), lo), r);
-        r
+        Monitor::new(self).first_violation(t).unwrap_or(t.len())
     }
 }
 
-// Memo keys are (node pointer, position) pairs — already well
-// distributed, so the default SipHash (which dominates matching time on
-// long traces) is replaced by the shared FxHash-style multiply-mix in
-// `obs::fx`, the same mixer behind the hash-consed term fingerprints.
-type MemoMap<V> = HashMap<(usize, usize), V, obs::fx::FxBuild>;
+/// The continuation with nothing left to match.
+const DONE: u32 = 0;
 
-#[derive(Default)]
-struct Memo {
-    ends: MemoMap<Rc<Vec<usize>>>,
-    prefix: MemoMap<bool>,
+/// The ε-closure of one monitor state: its outgoing transitions are
+/// `Monitor::edges[start..end]`, and `accepts` says whether the state can
+/// finish without consuming another event.
+#[derive(Clone, Copy)]
+struct Closure {
+    start: u32,
+    end: u32,
+    accepts: bool,
+}
+
+/// A streaming checker for one [`TracePred`]: feed it a trace one event at
+/// a time and it says, after each event, whether the trace so far is still
+/// a prefix of a member.
+///
+/// States are hash-consed continuations `(node, rest)` — "match `node`,
+/// then continuation `rest`" — numbered by `u32`. A state's ε-closure (the
+/// atoms it can consume next and where each leads) is computed the first
+/// time a trace reaches it and kept for the monitor's lifetime, so a
+/// second trace through the same interactions reuses the states the first
+/// one built. The live set is a sorted, deduplicated list of states.
+///
+/// Build one monitor per check: the state table grows with every new
+/// path a trace takes and is dropped with the monitor.
+pub struct Monitor<'a> {
+    root: u32,
+    /// State `s` is `conts[s].0` followed by state `conts[s].1`; state
+    /// [`DONE`] has no node.
+    conts: Vec<(Option<&'a Node>, u32)>,
+    ids: HashMap<(usize, u32), u32, FxBuild>,
+    closures: Vec<Option<Closure>>,
+    /// Transitions of every computed closure: an atom and the state that
+    /// consuming it leads to.
+    edges: Vec<(&'a EventPred, u32)>,
+    live: Vec<u32>,
+    next: Vec<u32>,
+    /// Scratch for closure computation: states visited in the current
+    /// closure carry the current `epoch`.
+    visited: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl<'a> Monitor<'a> {
+    /// A monitor for `spec`, positioned at the start of a trace.
+    pub fn new(spec: &'a TracePred) -> Monitor<'a> {
+        let mut m = Monitor {
+            root: DONE,
+            conts: vec![(None, DONE)],
+            ids: HashMap::default(),
+            closures: vec![None],
+            edges: Vec::new(),
+            live: Vec::new(),
+            next: Vec::new(),
+            visited: vec![0],
+            epoch: 0,
+            stack: Vec::new(),
+        };
+        m.root = m.intern(spec, DONE);
+        m.live.push(m.root);
+        m
+    }
+
+    /// Moves back to the start of a trace, keeping the states built so
+    /// far.
+    fn reset(&mut self) {
+        self.live.clear();
+        self.live.push(self.root);
+    }
+
+    /// Consumes one event. Returns whether the trace so far is still a
+    /// prefix of a member; once it is not, every later step returns
+    /// `false` too, until [`Monitor::first_violation`] starts a new
+    /// trace.
+    pub fn step(&mut self, e: &MmioEvent) -> bool {
+        self.next.clear();
+        for i in 0..self.live.len() {
+            let c = self.closure(self.live[i]);
+            for &(atom, to) in &self.edges[c.start as usize..c.end as usize] {
+                if atom.test(e) {
+                    self.next.push(to);
+                }
+            }
+        }
+        self.next.sort_unstable();
+        self.next.dedup();
+        std::mem::swap(&mut self.live, &mut self.next);
+        !self.live.is_empty()
+    }
+
+    /// Checks `t` from the start of a trace (resetting the monitor first):
+    /// the index of the first event after which `t` is no longer a prefix
+    /// of a member, or `None` when all of `t` is.
+    pub fn first_violation(&mut self, t: &[MmioEvent]) -> Option<usize> {
+        self.reset();
+        t.iter().position(|e| !self.step(e))
+    }
+
+    /// Whether the events consumed so far form a complete member.
+    pub fn accepting(&mut self) -> bool {
+        (0..self.live.len()).any(|i| self.closure(self.live[i]).accepts)
+    }
+
+    /// The state "match `p`, then state `rest`".
+    fn intern(&mut self, p: &'a TracePred, rest: u32) -> u32 {
+        let node: &'a Node = &p.node;
+        let key = (std::ptr::from_ref(node) as usize, rest);
+        if let Some(&s) = self.ids.get(&key) {
+            return s;
+        }
+        let s = u32::try_from(self.conts.len()).expect("monitor state table overflows u32");
+        self.conts.push((Some(node), rest));
+        self.closures.push(None);
+        self.visited.push(0);
+        self.ids.insert(key, s);
+        s
+    }
+
+    /// The ε-closure of state `s`, computed on first use.
+    fn closure(&mut self, s: u32) -> Closure {
+        if let Some(c) = self.closures[s as usize] {
+            return c;
+        }
+        self.epoch += 1;
+        let start = self.edges.len();
+        let mut accepts = false;
+        self.stack.push(s);
+        while let Some(c) = self.stack.pop() {
+            if std::mem::replace(&mut self.visited[c as usize], self.epoch) == self.epoch {
+                continue;
+            }
+            let (node, rest) = self.conts[c as usize];
+            match node {
+                None => accepts = true,
+                Some(Node::Eps) => self.stack.push(rest),
+                Some(Node::Atom(p)) => self.edges.push((p, rest)),
+                Some(Node::Concat(a, b)) => {
+                    let after_a = self.intern(b, rest);
+                    let first = self.intern(a, after_a);
+                    self.stack.push(first);
+                }
+                Some(Node::Union(a, b)) => {
+                    let (x, y) = (self.intern(a, rest), self.intern(b, rest));
+                    self.stack.extend([x, y]);
+                }
+                Some(Node::Star(a)) => {
+                    // Each iteration of the body returns to this state.
+                    let body = self.intern(a, c);
+                    self.stack.extend([rest, body]);
+                }
+            }
+        }
+        let as_u32 = |n: usize| u32::try_from(n).expect("monitor edge table overflows u32");
+        let closure = Closure {
+            start: as_u32(start),
+            end: as_u32(self.edges.len()),
+            accepts,
+        };
+        self.closures[s as usize] = Some(closure);
+        closure
+    }
 }
 
 /// Atom: an MMIO load at `addr` with any value.
@@ -350,7 +371,7 @@ pub fn ld(addr: u32) -> TracePred {
 }
 
 /// Atom: an MMIO load at `addr` whose value satisfies `f`.
-pub fn ld_if(addr: u32, name: &str, f: impl Fn(u32) -> bool + 'static) -> TracePred {
+pub fn ld_if(addr: u32, name: &str, f: impl Fn(u32) -> bool + Send + Sync + 'static) -> TracePred {
     TracePred::atom(&format!("ld@{addr:#x}[{name}]"), move |e| {
         e.kind == riscv_spec::MmioEventKind::Load && e.addr == addr && f(e.value)
     })
@@ -364,7 +385,7 @@ pub fn st(addr: u32) -> TracePred {
 }
 
 /// Atom: an MMIO store at `addr` whose value satisfies `f`.
-pub fn st_if(addr: u32, name: &str, f: impl Fn(u32) -> bool + 'static) -> TracePred {
+pub fn st_if(addr: u32, name: &str, f: impl Fn(u32) -> bool + Send + Sync + 'static) -> TracePred {
     TracePred::atom(&format!("st@{addr:#x}[{name}]"), move |e| {
         e.kind == riscv_spec::MmioEventKind::Store && e.addr == addr && f(e.value)
     })
@@ -446,7 +467,7 @@ mod tests {
 
     #[test]
     fn nested_stars_and_unions() {
-        // ((a b)* | c)* — stress the memoization.
+        // ((a b)* | c)* — nested stars whose bodies can match ε.
         let ab = ld(0xA).then(&ld(0xB));
         let p = ab.star().or(&ld(0xC)).star();
         assert!(p.matches(&[l(0xA, 0), l(0xB, 0), l(0xC, 0), l(0xA, 0), l(0xB, 0)]));
@@ -455,8 +476,8 @@ mod tests {
 
     #[test]
     fn long_traces_match_quickly() {
-        // 3000 repetitions of a 3-event body: must finish fast thanks to
-        // the length bounds.
+        // 3000 repetitions of a 3-event body: one pass, a handful of
+        // states.
         let body = ld(0x1).then(&ld(0x2)).then(&st(0x3));
         let p = body.star();
         let mut t = Vec::new();
@@ -469,6 +490,61 @@ mod tests {
         t.push(l(0x1, 0));
         assert!(p.matches_prefix(&t));
         assert!(!p.matches(&t));
+    }
+
+    #[test]
+    fn monitor_steps_and_reports_the_first_violation() {
+        let p = ld(0xA).then(&st(0xB)).star();
+        let mut m = Monitor::new(&p);
+        assert!(m.accepting());
+        assert!(m.step(&l(0xA, 1)));
+        assert!(!m.accepting(), "mid-iteration is a prefix, not a member");
+        assert!(m.step(&s(0xB, 1)));
+        assert!(m.accepting());
+        assert!(!m.step(&s(0xB, 1)));
+        assert!(!m.step(&l(0xA, 1)), "a dead monitor stays dead");
+        let t = [l(0xA, 1), s(0xB, 1), l(0xA, 2), l(0xFF, 9), s(0xB, 2)];
+        assert_eq!(m.first_violation(&t), Some(3), "first_violation resets");
+        assert_eq!(m.first_violation(&t[..3]), None);
+        assert!(!m.accepting());
+    }
+
+    #[test]
+    fn monitor_reuses_states_across_traces() {
+        let p = ld(0x1).then(&ld(0x2)).then(&st(0x3)).star();
+        let t: Vec<E> = (0..50)
+            .flat_map(|i| [l(0x1, i), l(0x2, i), s(0x3, i)])
+            .collect();
+        let mut m = Monitor::new(&p);
+        assert_eq!(m.first_violation(&t), None);
+        let built = m.conts.len();
+        assert!(built < 16, "{built} states for a 3-event loop");
+        assert_eq!(m.first_violation(&t), None);
+        assert_eq!(m.conts.len(), built, "a repeated trace builds no state");
+    }
+
+    #[test]
+    fn monitor_survives_epsilon_cycles() {
+        // (ε | a)* and (ε*)* put ε-loops into the closure computation.
+        let p = TracePred::eps().or(&ld(0xA)).star();
+        assert!(p.matches(&[l(0xA, 0), l(0xA, 0)]));
+        assert_eq!(p.longest_matching_prefix(&[l(0xA, 0), l(0xB, 0)]), 1);
+        let q = TracePred::eps().star().star().then(&ld(0xA));
+        assert!(q.matches(&[l(0xA, 0)]));
+        assert!(!q.matches(&[]));
+        assert!(q.matches_prefix(&[]));
+    }
+
+    #[test]
+    fn predicates_are_shareable_across_threads() {
+        fn send_sync<T: Send + Sync>(_: &T) {}
+        let p = ld(0xA).then(&st(0xB)).star();
+        send_sync(&p);
+        let t = [l(0xA, 1), s(0xB, 1)];
+        std::thread::scope(|sc| {
+            let h = sc.spawn(|| p.matches(&t));
+            assert!(h.join().expect("matcher thread"));
+        });
     }
 
     #[test]

@@ -33,9 +33,9 @@ fn every_prefix_of_a_long_run_matches() {
 
 #[test]
 fn prefix_acceptance_is_monotone_on_system_traces() {
-    // Check the theoretical property the checker relies on (binary search
-    // in longest_matching_prefix): if a prefix matches, every shorter one
-    // does. Violations would indicate a combinator bug.
+    // Check the theoretical property prefix checking rests on: if a prefix
+    // matches, every shorter one does (a monitor that dies stays dead).
+    // Violations would indicate a combinator bug.
     let config = SystemConfig::default();
     let mut gen = TrafficGen::new(101);
     let run = config.run(&[gen.command(true)], 300_000);

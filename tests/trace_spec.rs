@@ -1,8 +1,11 @@
 //! Property tests for the trace-predicate combinators (§3.1): algebraic
-//! laws, prefix-monotonicity, and agreement with a reference regex
-//! matcher on random predicates and traces.
+//! laws, prefix-monotonicity, and agreement of the streaming `Monitor`
+//! with a naive reference regex matcher and with the dynamic-programming
+//! oracle (`tests/oracle`) on random predicates and traces.
 
-use lightbulb_system::proglogic::trace::{ld, st, TracePred};
+mod oracle;
+
+use lightbulb_system::proglogic::trace::{ld, st, Monitor, TracePred};
 use lightbulb_system::riscv::MmioEvent;
 use proptest::prelude::*;
 
@@ -44,6 +47,28 @@ fn arb_rx() -> impl Strategy<Value = Rx> {
     })
 }
 
+fn seq(a: Rx, b: Rx) -> Rx {
+    Rx::Seq(Box::new(a), Box::new(b))
+}
+fn alt(a: Rx, b: Rx) -> Rx {
+    Rx::Alt(Box::new(a), Box::new(b))
+}
+fn star(a: Rx) -> Rx {
+    Rx::Star(Box::new(a))
+}
+
+/// [`arb_rx`] plus the shapes that put ε-loops into the monitor's closure
+/// computation: `(ε | x)*`, `((a b)* | c)*`, `(ε*)* x` and `(x*)*`.
+fn arb_rx_with_eps_stars() -> impl Strategy<Value = Rx> {
+    prop_oneof![
+        3 => arb_rx(),
+        1 => arb_rx().prop_map(|x| star(alt(Rx::Eps, x))),
+        1 => (arb_rx(), arb_rx(), arb_rx()).prop_map(|(a, b, c)| star(alt(star(seq(a, b)), c))),
+        1 => arb_rx().prop_map(|x| seq(star(star(Rx::Eps)), x)),
+        1 => arb_rx().prop_map(|x| star(star(x))),
+    ]
+}
+
 fn to_pred(rx: &Rx) -> TracePred {
     match rx {
         Rx::Eps => TracePred::eps(),
@@ -78,6 +103,59 @@ fn reference_matches(rx: &Rx, t: &[MmioEvent]) -> bool {
                 || (1..=t.len())
                     .any(|i| reference_matches(x, &t[..i]) && reference_matches(rx, &t[i..]))
         }
+    }
+}
+
+/// Naive reference prefix acceptance: some member of `rx` starts with
+/// `t` (every atom here is satisfiable, so a partial match extends).
+fn reference_prefix(rx: &Rx, t: &[MmioEvent]) -> bool {
+    match rx {
+        Rx::Eps => t.is_empty(),
+        Rx::Ld(_) | Rx::St(_) => t.is_empty() || reference_matches(rx, t),
+        Rx::Seq(x, y) => {
+            reference_prefix(x, t)
+                || (0..=t.len())
+                    .any(|i| reference_matches(x, &t[..i]) && reference_prefix(y, &t[i..]))
+        }
+        Rx::Alt(x, y) => reference_prefix(x, t) || reference_prefix(y, t),
+        Rx::Star(x) => {
+            t.is_empty()
+                || reference_prefix(x, t)
+                || (1..=t.len())
+                    .any(|i| reference_matches(x, &t[..i]) && reference_prefix(rx, &t[i..]))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1200))]
+
+    /// The monitor, the dynamic-programming oracle and the naive reference
+    /// agree on full membership and prefix acceptance at every cut of the
+    /// trace, and on the first violating index.
+    #[test]
+    fn monitor_agrees_with_oracle_and_reference(
+        rx in arb_rx_with_eps_stars(),
+        t in proptest::collection::vec(arb_event(), 0..8),
+    ) {
+        let p = to_pred(&rx);
+        let mut m = Monitor::new(&p);
+        let mut alive = true;
+        for k in 0..=t.len() {
+            let cut = &t[..k];
+            let member = alive && m.accepting();
+            let oracle_says = oracle::prefix_and_member(&p, cut);
+            prop_assert_eq!((alive, member), oracle_says, "cut {} of {:?}", k, rx);
+            prop_assert_eq!(alive, reference_prefix(&rx, cut), "prefix at cut {} of {:?}", k, rx);
+            prop_assert_eq!(member, reference_matches(&rx, cut), "member at cut {} of {:?}", k, rx);
+            if k < t.len() {
+                alive = m.step(&t[k]);
+            }
+        }
+        let first = m.first_violation(&t);
+        let reference_first = (0..t.len()).find(|&k| !reference_prefix(&rx, &t[..=k]));
+        prop_assert_eq!(first, reference_first);
+        prop_assert_eq!(first.unwrap_or(t.len()), oracle::longest_matching_prefix(&p, &t));
     }
 }
 
