@@ -1,0 +1,155 @@
+//! EXPERIMENTS.md quotes figures from the committed `BENCH_*.json`
+//! records; `scripts/experiments_tables.py` generates those tables. This
+//! test fails when a quoted figure disagrees with its record at the
+//! precision the document prints, so a re-recorded benchmark cannot leave
+//! stale numbers behind.
+
+use bench::workspace_root;
+use obs::json::{parse, Value};
+use std::fs;
+
+/// The text between `<!-- begin NAME -->` and `<!-- end NAME -->`.
+fn block(doc: &str, name: &str) -> String {
+    let begin = format!("<!-- begin {name} -->");
+    let end = format!("<!-- end {name} -->");
+    let start = doc
+        .find(&begin)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {begin}"));
+    let stop = doc[start..]
+        .find(&end)
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {end}"));
+    doc[start + begin.len()..start + stop].to_string()
+}
+
+/// Asserts `quoted` (a decimal number as printed) equals `value` rounded
+/// to the same number of decimals.
+fn assert_quotes(quoted: &str, value: f64, what: &str) {
+    let decimals = quoted.split_once('.').map_or(0, |(_, frac)| frac.len());
+    assert_eq!(
+        quoted,
+        format!("{value:.decimals$}"),
+        "{what}: EXPERIMENTS.md quotes {quoted}, the record holds {value} \
+         (regenerate with `python3 scripts/experiments_tables.py`)"
+    );
+}
+
+fn num(v: &Value, key: &str) -> f64 {
+    match v.get(key) {
+        Some(Value::Float(x)) => *x,
+        Some(Value::UInt(x)) => *x as f64,
+        Some(Value::Int(x)) => *x as f64,
+        other => panic!("record field {key}: {other:?}"),
+    }
+}
+
+/// The leading number of `cell`, e.g. "82.0" of "82.0 Msteps/s".
+fn leading_number(cell: &str) -> &str {
+    let cell = cell.trim().trim_start_matches("**");
+    let end = cell
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(cell.len());
+    &cell[..end]
+}
+
+/// Every decimal number in `cell`, in order.
+fn numbers(cell: &str) -> Vec<&str> {
+    cell.split(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .map(|t| t.trim_matches('.'))
+        .filter(|t| !t.is_empty())
+        .collect()
+}
+
+/// EXPERIMENTS.md and the `data` section of `BENCH_<bin>.json`.
+fn doc_and_record(bin: &str) -> (String, Value) {
+    let root = workspace_root();
+    let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let path = format!("BENCH_{bin}.json");
+    let record = parse(&fs::read_to_string(root.join(&path)).expect(&path)).expect("JSON record");
+    let data = record.get("data").expect("data").clone();
+    (doc, data)
+}
+
+#[test]
+fn fault_sweep_table_matches_its_record() {
+    let (doc, data) = doc_and_record("fault_sweep");
+    let table = block(&doc, "fault_sweep");
+    let rows: [(&str, &[&str]); 5] = [
+        (
+            "seeds swept / conclusive / failures",
+            &["seeds", "conclusive", "failures"],
+        ),
+        (
+            "wall clock",
+            &["seconds", "seeds_per_sec", "quick_cycles", "max_cycles"],
+        ),
+        ("faults injected (device side)", &["faults_injected"]),
+        ("driver retries observed in traces", &["driver_retries"]),
+        ("driver re-initializations", &["driver_reinits"]),
+    ];
+    for (label, fields) in rows {
+        let line = table
+            .lines()
+            .find(|l| l.starts_with(&format!("| {label} |")))
+            .unwrap_or_else(|| panic!("no '{label}' row"));
+        let value = line
+            .trim_matches('|')
+            .split('|')
+            .nth(1)
+            .expect("value cell");
+        let quoted = numbers(value);
+        assert_eq!(quoted.len(), fields.len(), "{label}: {value:?}");
+        for (q, field) in quoted.iter().zip(fields) {
+            assert_quotes(q, num(&data, field), field);
+        }
+    }
+}
+
+#[test]
+fn spec_throughput_table_matches_its_record() {
+    let (doc, record) = doc_and_record("spec_throughput");
+    let data = &record;
+    let Some(Value::Arr(cores)) = data.get("cores") else {
+        panic!("record has no cores");
+    };
+    let config = |c: &Value| match c.get("config") {
+        Some(Value::Str(s)) => s.clone(),
+        other => panic!("core config: {other:?}"),
+    };
+    let spec = num(&cores[0], "steps_per_sec");
+    let table = block(&doc, "spec_throughput");
+
+    let mut rows = 0;
+    for line in table.lines().filter(|l| l.starts_with("| ")) {
+        let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+        let Some(core) = cores.iter().find(|c| config(c) == cells[0]) else {
+            assert_eq!(cells[0], "core", "row {line:?} names no recorded core");
+            continue;
+        };
+        let rate = num(core, "steps_per_sec");
+        assert_quotes(leading_number(cells[1]), rate / 1e6, cells[0]);
+        assert_quotes(leading_number(cells[2]), rate / spec, cells[0]);
+        rows += 1;
+    }
+    assert_eq!(rows, cores.len(), "one table row per recorded core");
+
+    let speedup = table
+        .split("seed path: ")
+        .nth(1)
+        .expect("the decode-cache speedup line");
+    assert_quotes(
+        leading_number(speedup),
+        num(data, "cached_vs_seed_speedup"),
+        "decode-cache speedup",
+    );
+    let icache = data.get("icache").expect("icache");
+    let (hits, misses) = (num(icache, "hits"), num(icache, "misses"));
+    let rate = table
+        .split("hit rate ")
+        .nth(1)
+        .expect("the hit-rate figure");
+    assert_quotes(
+        leading_number(rate),
+        100.0 * hits / (hits + misses),
+        "decode-cache hit rate",
+    );
+}

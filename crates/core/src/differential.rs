@@ -993,40 +993,71 @@ pub(crate) fn fault_check_against(
     spec: &TracePred,
     counters: &mut Counters,
 ) -> Result<(), DiffError> {
-    let seed = plan.seed;
-    let mut gen = TrafficGen::new(seed);
-    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-    let mut monitor = Monitor::new(spec);
+    check_runs(plan, cfg, image, spec, counters, run_adaptive)
+}
 
-    // Frames the plan drops never reach the chip; everything else must be
-    // consumed (status popped, pending queue empty) for a run to count as
-    // "workload done".
-    let expected_arrivals = cfg.frames as u64
+/// One model's run under the adaptive budget: a quick pass suffices for
+/// most plans; when faults kept the workload from finishing, the same
+/// machine runs on to the full budget. Runs are pure functions of the
+/// seed, so the continued run equals a fresh one with the full budget, and
+/// results stay deterministic across runs and shard counts.
+fn run_adaptive(
+    sys: &SystemConfig,
+    image: &CompiledProgram,
+    plan: &FaultPlan,
+    frames: &[Vec<u8>],
+    cfg: &FaultSweepConfig,
+) -> LightbulbRun {
+    let mut run = sys.start(image, plan, frames, None);
+    let quick = run.run_to(cfg.quick_cycles);
+    if workload_done(&quick, plan, cfg) || cfg.max_cycles <= cfg.quick_cycles {
+        quick
+    } else {
+        run.run_to(cfg.max_cycles)
+    }
+}
+
+/// How [`check_runs`] runs one machine model on a plan.
+type ModelRunner =
+    fn(&SystemConfig, &CompiledProgram, &FaultPlan, &[Vec<u8>], &FaultSweepConfig) -> LightbulbRun;
+
+/// Frames the plan drops never reach the chip; everything else must be
+/// delivered and consumed (status popped, pending queue empty) for a run
+/// to count as "workload done".
+fn expected_arrivals(plan: &FaultPlan, cfg: &FaultSweepConfig) -> u64 {
+    cfg.frames as u64
         - plan
             .frame_faults
             .iter()
             .filter(|(i, f)| (*i as usize) < cfg.frames && matches!(f, FrameFault::Drop))
-            .count() as u64;
-    let done = |run: &LightbulbRun| {
-        run.report.counters.get("board.lan9250.frames_delivered") >= expected_arrivals
-            && run.report.counters.get("board.lan9250.frames_pending") == 0
-    };
-    // Adaptive budget: a quick pass suffices for most plans; rerun from
-    // scratch with the full budget when faults kept the workload from
-    // finishing. Both passes are pure functions of the seed, so results
-    // stay deterministic across runs and shard counts.
-    let run_on = |kind: ProcessorKind| {
+            .count() as u64
+}
+
+fn workload_done(run: &LightbulbRun, plan: &FaultPlan, cfg: &FaultSweepConfig) -> bool {
+    run.report.counters.get("board.lan9250.frames_delivered") >= expected_arrivals(plan, cfg)
+        && run.report.counters.get("board.lan9250.frames_pending") == 0
+}
+
+/// The body of [`fault_check_against`], with each model run by `run_on`.
+fn check_runs(
+    plan: &FaultPlan,
+    cfg: &FaultSweepConfig,
+    image: &CompiledProgram,
+    spec: &TracePred,
+    counters: &mut Counters,
+    run_on: ModelRunner,
+) -> Result<(), DiffError> {
+    let seed = plan.seed;
+    let mut gen = TrafficGen::new(seed);
+    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+    let mut monitor = Monitor::new(spec);
+    let run_kind = |kind: ProcessorKind| {
         let mut sys = cfg.system;
         sys.processor = kind;
-        let quick = sys.run_faulted(image, plan, &frames, cfg.quick_cycles);
-        if done(&quick) || cfg.max_cycles <= cfg.quick_cycles {
-            quick
-        } else {
-            sys.run_faulted(image, plan, &frames, cfg.max_cycles)
-        }
+        run_on(&sys, image, plan, &frames, cfg)
     };
 
-    let pipe = run_on(ProcessorKind::Pipelined);
+    let pipe = run_kind(ProcessorKind::Pipelined);
     let activity = probe::scan(&pipe.events);
     counters.add(
         "devices.faults.injected",
@@ -1042,7 +1073,7 @@ pub(crate) fn fault_check_against(
         });
     }
 
-    let sm = run_on(ProcessorKind::SpecMachine);
+    let sm = run_kind(ProcessorKind::SpecMachine);
     if let Some(e) = sm.error {
         return Err(DiffError::MachineError(format!(
             "spec machine under fault plan {seed}: {e}"
@@ -1056,7 +1087,7 @@ pub(crate) fn fault_check_against(
         });
     }
 
-    if cfg.require_done && (!done(&pipe) || !done(&sm)) {
+    if cfg.require_done && (!workload_done(&pipe, plan, cfg) || !workload_done(&sm, plan, cfg)) {
         let delivered = pipe
             .report
             .counters
@@ -1064,7 +1095,7 @@ pub(crate) fn fault_check_against(
             .min(sm.report.counters.get("board.lan9250.frames_delivered"));
         return Err(DiffError::WorkloadIncomplete {
             delivered,
-            expected: expected_arrivals,
+            expected: expected_arrivals(plan, cfg),
         });
     }
 
@@ -1274,6 +1305,107 @@ mod tests {
         };
         assert_eq!(strip(&serial.counters), strip(&sharded.counters));
         assert_eq!(sharded.shards, 4);
+    }
+
+    /// The adaptive budget before runs were resumable: when the quick pass
+    /// leaves the workload unfinished, rerun from reset with the full
+    /// budget. The oracle for [`run_adaptive`].
+    fn run_from_scratch(
+        sys: &SystemConfig,
+        image: &CompiledProgram,
+        plan: &FaultPlan,
+        frames: &[Vec<u8>],
+        cfg: &FaultSweepConfig,
+    ) -> LightbulbRun {
+        let quick = sys.run_faulted(image, plan, frames, cfg.quick_cycles);
+        if workload_done(&quick, plan, cfg) || cfg.max_cycles <= cfg.quick_cycles {
+            quick
+        } else {
+            sys.run_faulted(image, plan, frames, cfg.max_cycles)
+        }
+    }
+
+    /// True when `plan` leaves the workload unfinished on `kind` after the
+    /// quick pass, so [`run_adaptive`] has to continue the run.
+    fn escalates(
+        plan: &FaultPlan,
+        cfg: &FaultSweepConfig,
+        image: &CompiledProgram,
+        kind: ProcessorKind,
+    ) -> bool {
+        let mut gen = TrafficGen::new(plan.seed);
+        let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+        let sys = SystemConfig {
+            processor: kind,
+            ..cfg.system
+        };
+        let quick = sys.run_faulted(image, plan, &frames, cfg.quick_cycles);
+        !workload_done(&quick, plan, cfg)
+    }
+
+    #[test]
+    fn resuming_the_quick_pass_equals_rerunning_from_reset() {
+        let cfg = FaultSweepConfig::default();
+        let image = build_image(&cfg.system);
+        let spec = good_hl_trace(cfg.system.driver);
+        // Seed 4 leaves the pipelined workload unfinished after the quick
+        // pass; seeds 3 and 5 finish within it.
+        let seeds = 3..6;
+        let pipelined = ProcessorKind::Pipelined;
+        assert!(escalates(&FaultPlan::from_seed(4), &cfg, &image, pipelined));
+        assert!(!escalates(
+            &FaultPlan::from_seed(5),
+            &cfg,
+            &image,
+            pipelined
+        ));
+        let sweep = |runner: ModelRunner| {
+            resilient_sweep(
+                seeds.clone(),
+                1,
+                &SweepOptions::default(),
+                |seed, _, counters| {
+                    check_runs(
+                        &FaultPlan::from_seed(seed),
+                        &cfg,
+                        &image,
+                        &spec,
+                        counters,
+                        runner,
+                    )
+                },
+            )
+        };
+        let (resumed, rerun) = (sweep(run_adaptive), sweep(run_from_scratch));
+        assert_eq!(resumed.total, 3);
+        assert_eq!(resumed.to_json().render(), rerun.to_json().render());
+        for seed in seeds.clone() {
+            let plan = FaultPlan::from_seed(seed);
+            let (mut a, mut b) = (Counters::new(), Counters::new());
+            let ra = check_runs(&plan, &cfg, &image, &spec, &mut a, run_adaptive);
+            let rb = check_runs(&plan, &cfg, &image, &spec, &mut b, run_from_scratch);
+            assert_eq!(ra, rb, "seed {seed}");
+            assert_eq!(a, b, "seed {seed}");
+        }
+
+        // A liveness failure escalates on both models, the spec machine
+        // included, and must fail identically either way.
+        let live = FaultSweepConfig {
+            require_done: true,
+            ..cfg.clone()
+        };
+        let plan = FaultPlan::from_atoms(7, &[devices::FaultAtom::ByteTestJunk(10_000)]);
+        assert!(escalates(&plan, &live, &image, pipelined));
+        assert!(escalates(&plan, &live, &image, ProcessorKind::SpecMachine));
+        let (mut a, mut b) = (Counters::new(), Counters::new());
+        let ra = check_runs(&plan, &live, &image, &spec, &mut a, run_adaptive);
+        let rb = check_runs(&plan, &live, &image, &spec, &mut b, run_from_scratch);
+        assert!(
+            matches!(ra, Err(DiffError::WorkloadIncomplete { .. })),
+            "{ra:?}"
+        );
+        assert_eq!(ra, rb);
+        assert_eq!(a, b);
     }
 
     #[test]

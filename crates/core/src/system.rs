@@ -10,7 +10,7 @@
 use bedrock2_compiler::{compile, CompileOptions, CompiledProgram, Entry, MmioExtCompiler};
 use devices::{Board, FaultPlan, SpiConfig};
 use lightbulb::{lightbulb_program, DriverOptions};
-use obs::{Counters, Event, MemSink};
+use obs::{Counters, Event, MemSink, Sink};
 use processor::{PipelineConfig, Pipelined, SingleCycle};
 use riscv_spec::{Memory, MmioEvent, SpecMachine};
 
@@ -182,55 +182,89 @@ impl SystemConfig {
         max_cycles: u64,
         sink: Option<MemSink>,
     ) -> LightbulbRun {
-        let mut report = RunReport {
-            counters: image.stats.counters(),
-            ..RunReport::default()
-        };
+        self.start(image, plan, frames, sink).run_to(max_cycles)
+    }
+
+    /// Builds the system of [`SystemConfig::run_faulted`] (traced when
+    /// `sink` is given) without running it. The returned [`SystemRun`]
+    /// keeps its machine between [`SystemRun::run_to`] calls, so a run can
+    /// be continued to a larger budget instead of restarted from reset.
+    pub(crate) fn start(
+        &self,
+        image: &CompiledProgram,
+        plan: &FaultPlan,
+        frames: &[Vec<u8>],
+        sink: Option<MemSink>,
+    ) -> SystemRun {
         let mut board = Board::with_faults(self.spi, plan);
         for f in frames {
             board.inject_frame(f);
         }
-        match self.processor {
-            ProcessorKind::Pipelined if sink.is_some() => {
-                let mut cpu = Pipelined::with_sink(
-                    &image.bytes(),
-                    self.ram_bytes,
-                    board,
-                    self.pipeline,
-                    sink.unwrap_or_default(),
-                );
-                cpu.run(max_cycles);
-                report.counters.merge(&cpu.counters());
-                report.counters.merge(&cpu.mem.mmio.counters());
-                report.final_pc = cpu.fetch_pc();
-                report.trace_events = std::mem::take(&mut cpu.sink.events);
-                LightbulbRun {
-                    events: cpu.mem.events(),
-                    bulb_history: cpu.mem.mmio.gpio.lightbulb_history(),
-                    bulb_on: cpu.mem.mmio.lightbulb_on(),
-                    cycles: cpu.cycle,
-                    error: None,
-                    report,
-                }
+        let bytes = image.bytes();
+        let machine = match (self.processor, sink) {
+            (ProcessorKind::Pipelined, Some(sink)) => Machine::Traced(Box::new(
+                Pipelined::with_sink(&bytes, self.ram_bytes, board, self.pipeline, sink),
+            )),
+            (ProcessorKind::Pipelined, None) => Machine::Pipelined(Box::new(Pipelined::new(
+                &bytes,
+                self.ram_bytes,
+                board,
+                self.pipeline,
+            ))),
+            (ProcessorKind::SingleCycle, _) => {
+                Machine::SingleCycle(Box::new(SingleCycle::new(&bytes, self.ram_bytes, board)))
             }
-            ProcessorKind::Pipelined => {
-                let mut cpu = Pipelined::new(&image.bytes(), self.ram_bytes, board, self.pipeline);
-                cpu.run(max_cycles);
-                report.counters.merge(&cpu.counters());
-                report.counters.merge(&cpu.mem.mmio.counters());
-                report.final_pc = cpu.fetch_pc();
-                LightbulbRun {
-                    events: cpu.mem.events(),
-                    bulb_history: cpu.mem.mmio.gpio.lightbulb_history(),
-                    bulb_on: cpu.mem.mmio.lightbulb_on(),
-                    cycles: cpu.cycle,
-                    error: None,
-                    report,
-                }
+            (ProcessorKind::SpecMachine, _) => {
+                let mut m = SpecMachine::new(Memory::with_size(self.ram_bytes), board);
+                m.load_program(0, &image.words());
+                Machine::Spec(Box::new(m), None)
             }
-            ProcessorKind::SingleCycle => {
-                let mut cpu = SingleCycle::new(&image.bytes(), self.ram_bytes, board);
-                cpu.run(max_cycles);
+        };
+        SystemRun {
+            machine,
+            compiler: image.stats.counters(),
+        }
+    }
+}
+
+/// A built system whose machine keeps its state between runs.
+pub(crate) struct SystemRun {
+    machine: Machine,
+    /// The image's compile counters, the base of every report.
+    compiler: Counters,
+}
+
+enum Machine {
+    Pipelined(Box<Pipelined<Board>>),
+    Traced(Box<Pipelined<Board, MemSink>>),
+    SingleCycle(Box<SingleCycle<Board>>),
+    /// The spec machine and the error that stopped it, if any.
+    Spec(Box<SpecMachine<Board>>, Option<String>),
+}
+
+impl SystemRun {
+    /// Runs on until `max_cycles` cycles (retired instructions, for the
+    /// spec machine) have elapsed since reset, and reports the whole run
+    /// so far. Runs are deterministic, so a run continued to `max_cycles`
+    /// equals one started with that budget. A machine that halted or hit
+    /// an error does not run again.
+    pub(crate) fn run_to(&mut self, max_cycles: u64) -> LightbulbRun {
+        let mut report = RunReport {
+            counters: self.compiler.clone(),
+            ..RunReport::default()
+        };
+        match &mut self.machine {
+            Machine::Pipelined(cpu) => {
+                cpu.run(max_cycles.saturating_sub(cpu.cycle));
+                pipelined_run(cpu, report)
+            }
+            Machine::Traced(cpu) => {
+                cpu.run(max_cycles.saturating_sub(cpu.cycle));
+                report.trace_events = cpu.sink.events.clone();
+                pipelined_run(cpu, report)
+            }
+            Machine::SingleCycle(cpu) => {
+                cpu.run(max_cycles.saturating_sub(cpu.cycle));
                 report.counters.merge(&cpu.mem.mmio.counters());
                 report.counters.set("pipeline.cycles", cpu.cycle);
                 report.counters.set("pipeline.retired", cpu.retired);
@@ -244,10 +278,13 @@ impl SystemConfig {
                     report,
                 }
             }
-            ProcessorKind::SpecMachine => {
-                let mut m = SpecMachine::new(Memory::with_size(self.ram_bytes), board);
-                m.load_program(0, &image.words());
-                let error = m.run(max_cycles).err().map(|e| e.to_string());
+            Machine::Spec(m, error) => {
+                if error.is_none() {
+                    *error = m
+                        .run(max_cycles.saturating_sub(m.instret))
+                        .err()
+                        .map(|e| e.to_string());
+                }
                 report.counters.merge(&m.stats.counters());
                 report.counters.merge(&m.mmio.counters());
                 report.final_pc = m.pc;
@@ -256,11 +293,25 @@ impl SystemConfig {
                     bulb_history: m.mmio.gpio.lightbulb_history(),
                     bulb_on: m.mmio.lightbulb_on(),
                     cycles: m.instret,
-                    error,
+                    error: error.clone(),
                     report,
                 }
             }
         }
+    }
+}
+
+fn pipelined_run<S: Sink>(cpu: &Pipelined<Board, S>, mut report: RunReport) -> LightbulbRun {
+    report.counters.merge(&cpu.counters());
+    report.counters.merge(&cpu.mem.mmio.counters());
+    report.final_pc = cpu.fetch_pc();
+    LightbulbRun {
+        events: cpu.mem.events(),
+        bulb_history: cpu.mem.mmio.gpio.lightbulb_history(),
+        bulb_on: cpu.mem.mmio.lightbulb_on(),
+        cycles: cpu.cycle,
+        error: None,
+        report,
     }
 }
 

@@ -8,6 +8,8 @@
 //!
 //! * **IF** fetches from the eagerly-filled [`crate::ICache`] at the pc the
 //!   [`crate::Btb`] predicts, tagging each fetch with the current *epoch*.
+//!   The simulation's I$ also holds each word predecoded, so the fetched
+//!   instruction travels to ID already decoded.
 //! * **ID** decodes, drops wrong-epoch instructions (squash after a
 //!   redirect), stalls while a source or destination register is busy in
 //!   the scoreboard, reads the register file, and dispatches.
@@ -20,15 +22,19 @@
 //!
 //! The stages are rules of a [`kami::RuleBased`] module, scheduled
 //! downstream-first each cycle — one legal one-rule-at-a-time serialization
-//! of the concurrent hardware (§5.7).
+//! of the concurrent hardware (§5.7). [`kami::Scheduler`] driving the rules
+//! by name is the reference for that serialization; the core's own cycle
+//! loop fires the same four rules directly, in the same order, and defers
+//! device ticks to the next MMIO access, so it is cycle-exact with the
+//! reference while paying no per-rule dispatch or per-cycle device call.
 
 use crate::alu;
 use crate::btb::Btb;
 use crate::icache::ICache;
 use crate::memsys::MemSystem;
-use kami::{BeMemory, Fifo, RegFile, RuleBased, RuleOutcome, Scheduler, Scoreboard};
+use kami::{BeMemory, Fifo, RegFile, RuleBased, RuleOutcome, Scoreboard};
 use obs::{Counters, Event, NullSink, Sink};
-use riscv_spec::{decode, Instruction, MmioHandler};
+use riscv_spec::{Instruction, MmioHandler};
 
 /// Cycles between sampled `pipeline.ipc_x1000` counter events when a
 /// tracing sink is attached.
@@ -102,7 +108,7 @@ impl PipelineStats {
 #[derive(Clone, Copy, Debug)]
 struct Fetched {
     pc: u32,
-    word: u32,
+    inst: Instruction,
     pred_next: u32,
     epoch: bool,
 }
@@ -205,11 +211,22 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
 
     /// Runs one hardware cycle (all four stage rules, downstream first).
     pub fn step_cycle(&mut self) {
-        if self.halted {
-            return;
-        }
-        Scheduler::new().cycle(self);
-        self.finish_cycle();
+        self.run(1);
+    }
+
+    /// Fires the four stage rules once each, downstream first — the
+    /// serialization [`kami::Scheduler`] runs over [`RuleBased::rules`],
+    /// without the by-name dispatch.
+    #[inline]
+    fn fire_rules(&mut self) {
+        self.rule_writeback();
+        self.rule_execute();
+        self.rule_decode();
+        self.rule_fetch();
+    }
+
+    #[inline]
+    fn sample_ipc(&mut self) {
         if S::ENABLED && self.cycle.is_multiple_of(IPC_SAMPLE_PERIOD) {
             let ipc_x1000 = (self.retired * 1000) / self.cycle.max(1);
             self.sink.emit(Event::counter(
@@ -230,11 +247,20 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
     }
 
     /// Runs until halted or `max_cycles` cycles elapse; returns cycles run.
+    ///
+    /// Device ticks are deferred: each cycle adds one to a counter that
+    /// [`MemSystem`] delivers in a single `tick_n` before the next MMIO
+    /// access and at loop exit, so devices observe exactly the timing of
+    /// the per-cycle tick in [`Pipelined::finish_cycle`].
     pub fn run(&mut self, max_cycles: u64) -> u64 {
         let start = self.cycle;
         while !self.halted && self.cycle - start < max_cycles {
-            self.step_cycle();
+            self.fire_rules();
+            self.cycle += 1;
+            self.mem.tick_deferred();
+            self.sample_ipc();
         }
+        self.mem.flush_ticks();
         self.cycle - start
     }
 
@@ -361,8 +387,9 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
             self.stats.squashed += 1;
             return RuleOutcome::Fired;
         }
-        let inst = decode(f.word);
-        let raw = inst.sources().iter().any(|r| self.sb.is_busy(r.index()));
+        let inst = f.inst;
+        let sources = inst.sources();
+        let raw = sources.iter().any(|r| self.sb.is_busy(r.index()));
         let waw = inst.dest().is_some_and(|r| self.sb.is_busy(r.index()));
         if raw || waw {
             self.stats.stalls += 1;
@@ -373,11 +400,8 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
             }
             return RuleOutcome::NotReady;
         }
-        let a = inst
-            .sources()
-            .first()
-            .map_or(0, |r| self.rf.read(r.index()));
-        let b = inst.sources().get(1).map_or(0, |r| self.rf.read(r.index()));
+        let a = sources.first().map_or(0, |r| self.rf.read(r.index()));
+        let b = sources.get(1).map_or(0, |r| self.rf.read(r.index()));
         if let Some(rd) = inst.dest() {
             self.sb.set_busy(rd.index());
         }
@@ -398,7 +422,7 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
             return RuleOutcome::NotReady;
         }
         let pc = self.fetch_pc;
-        let word = self.icache.fetch(pc);
+        let inst = self.icache.fetch_decoded(pc);
         self.stats.icache_fetches += 1;
         let pred_next = match &mut self.btb {
             Some(btb) => btb.predict(pc),
@@ -406,7 +430,7 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
         };
         self.f2d.enq(Fetched {
             pc,
-            word,
+            inst,
             pred_next,
             epoch: self.epoch,
         });

@@ -74,11 +74,9 @@ impl<M: MmioHandler> SingleCycle<M> {
     #[inline]
     fn step_datapath(&mut self) {
         let inst = self.fetch_decoded();
-        let a = inst
-            .sources()
-            .first()
-            .map_or(0, |r| self.rf.read(r.index()));
-        let b = inst.sources().get(1).map_or(0, |r| self.rf.read(r.index()));
+        let sources = inst.sources();
+        let a = sources.first().map_or(0, |r| self.rf.read(r.index()));
+        let b = sources.get(1).map_or(0, |r| self.rf.read(r.index()));
         let out = alu::execute(&inst, self.pc, a, b);
 
         let wb = match out.mem {

@@ -313,24 +313,24 @@ impl Instruction {
     }
 
     /// The source registers this instruction reads (up to two).
-    pub fn sources(&self) -> Vec<Reg> {
+    pub fn sources(&self) -> Sources {
         use Instruction::*;
         match *self {
-            Jalr { rs1, .. } => vec![rs1],
+            Jalr { rs1, .. } => Sources::one(rs1),
             Beq { rs1, rs2, .. }
             | Bne { rs1, rs2, .. }
             | Blt { rs1, rs2, .. }
             | Bge { rs1, rs2, .. }
             | Bltu { rs1, rs2, .. }
-            | Bgeu { rs1, rs2, .. } => {
-                vec![rs1, rs2]
-            }
+            | Bgeu { rs1, rs2, .. } => Sources::two(rs1, rs2),
             Lb { rs1, .. }
             | Lh { rs1, .. }
             | Lw { rs1, .. }
             | Lbu { rs1, .. }
-            | Lhu { rs1, .. } => vec![rs1],
-            Sb { rs1, rs2, .. } | Sh { rs1, rs2, .. } | Sw { rs1, rs2, .. } => vec![rs1, rs2],
+            | Lhu { rs1, .. } => Sources::one(rs1),
+            Sb { rs1, rs2, .. } | Sh { rs1, rs2, .. } | Sw { rs1, rs2, .. } => {
+                Sources::two(rs1, rs2)
+            }
             Addi { rs1, .. }
             | Slti { rs1, .. }
             | Sltiu { rs1, .. }
@@ -339,7 +339,7 @@ impl Instruction {
             | Andi { rs1, .. }
             | Slli { rs1, .. }
             | Srli { rs1, .. }
-            | Srai { rs1, .. } => vec![rs1],
+            | Srai { rs1, .. } => Sources::one(rs1),
             Add { rs1, rs2, .. }
             | Sub { rs1, rs2, .. }
             | Sll { rs1, rs2, .. }
@@ -357,11 +357,54 @@ impl Instruction {
             | Div { rs1, rs2, .. }
             | Divu { rs1, rs2, .. }
             | Rem { rs1, rs2, .. }
-            | Remu { rs1, rs2, .. } => {
-                vec![rs1, rs2]
-            }
-            _ => vec![],
+            | Remu { rs1, rs2, .. } => Sources::two(rs1, rs2),
+            _ => Sources::NONE,
         }
+    }
+}
+
+/// The source registers of one instruction: at most two, held inline so
+/// the hot decode/dispatch paths of the machine models never allocate.
+/// Derefs to `&[Reg]` in operand order (`rs1`, then `rs2`).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Sources {
+    regs: [Reg; 2],
+    len: u8,
+}
+
+impl Sources {
+    /// No source registers.
+    pub const NONE: Sources = Sources {
+        regs: [Reg::X0; 2],
+        len: 0,
+    };
+
+    fn one(rs1: Reg) -> Sources {
+        Sources {
+            regs: [rs1, Reg::X0],
+            len: 1,
+        }
+    }
+
+    fn two(rs1: Reg, rs2: Reg) -> Sources {
+        Sources {
+            regs: [rs1, rs2],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Sources {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl fmt::Debug for Sources {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -404,7 +447,7 @@ mod tests {
             rs2: Reg::X7,
         };
         assert_eq!(i.dest(), Some(Reg::X5));
-        assert_eq!(i.sources(), vec![Reg::X6, Reg::X7]);
+        assert_eq!(*i.sources(), [Reg::X6, Reg::X7]);
 
         let s = Instruction::Sw {
             rs1: Reg::X2,
@@ -412,9 +455,18 @@ mod tests {
             offset: -4,
         };
         assert_eq!(s.dest(), None);
-        assert_eq!(s.sources(), vec![Reg::X2, Reg::X10]);
+        assert_eq!(*s.sources(), [Reg::X2, Reg::X10]);
 
-        assert_eq!(Instruction::Ecall.sources(), vec![]);
+        assert!(Instruction::Ecall.sources().is_empty());
+        assert_eq!(
+            *Instruction::Jalr {
+                rd: Reg::X1,
+                rs1: Reg::X6,
+                offset: 0,
+            }
+            .sources(),
+            [Reg::X6]
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use disasm::disassemble;
 pub use encode::encode;
 pub use execute::execute;
 pub use icache::DecodeCache;
-pub use isa::{InstrClass, Instruction, Reg};
+pub use isa::{InstrClass, Instruction, Reg, Sources};
 pub use machine::{MachineError, SpecMachine, SpecStats, StepOutcome};
 pub use mem::Memory;
 pub use mmio::{AccessSize, MmioEvent, MmioEventKind, MmioHandler, NoMmio};

@@ -12,6 +12,10 @@
 #   * BENCH_spec_throughput.json — the decode-cache speedup (cached vs
 #     uncached spec core, a machine-independent ratio) must not fall more
 #     than the tolerance below the baseline's.
+#   * BENCH_spec_throughput.json — the single-cycle and pipelined
+#     hardware models' throughput, each divided by the cached spec
+#     machine's (machine-independent ratios), must not fall more than the
+#     tolerance below the baseline's.
 #
 # Absolute seconds are deliberately NOT gated by default — they measure
 # the runner, not the code; the ratios above move only when the code does.
@@ -117,6 +121,28 @@ elif base is not None:
     else:
         print(f"bench_gate: spec_throughput ok — decode-cache speedup "
               f"{fresh_ratio:.2f}x (baseline {base_ratio:.2f}x)")
+
+# --- spec_throughput: the hardware models' speed relative to the cached
+# spec machine, so a slower host moves numerator and denominator together.
+def hw_ratios(doc):
+    cores = {c["config"]: c["steps_per_sec"] for c in doc["data"]["cores"]}
+    spec = next(v for k, v in cores.items() if "cached" in k and "uncached" not in k)
+    return {model: cores[model] / spec
+            for model in ("single-cycle hardware model", "pipelined hardware model")}
+
+
+if fresh is not None and base is not None:
+    fresh_hw, base_hw = hw_ratios(fresh), hw_ratios(base)
+    for model, base_ratio in base_hw.items():
+        floor = base_ratio * (1 - tol)
+        if fresh_hw[model] < floor:
+            failures.append(
+                f"spec_throughput: {model} at {fresh_hw[model]:.3f}x the cached spec "
+                f"machine fell below {floor:.3f}x (baseline {base_ratio:.3f}x, "
+                f"tolerance {tol:.0%})")
+        else:
+            print(f"bench_gate: spec_throughput ok — {model} at {fresh_hw[model]:.3f}x "
+                  f"the cached spec machine (baseline {base_ratio:.3f}x)")
 
 if failures:
     print()

@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Regenerates the record-derived tables in EXPERIMENTS.md.
+
+Each table sits between a `<!-- begin NAME -->` and an `<!-- end NAME -->`
+marker and is rewritten from the committed BENCH_*.json record it names,
+so the document never quotes a hand-copied figure. Run from anywhere:
+
+    python3 scripts/experiments_tables.py
+
+`crates/bench/tests/experiments_doc.rs` fails when a quoted figure and its
+record disagree at the printed precision.
+"""
+
+import json
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def spec_throughput():
+    data = json.loads((ROOT / "BENCH_spec_throughput.json").read_text())["data"]
+    cores = data["cores"]
+    spec = cores[0]["steps_per_sec"]
+    lines = [
+        "<!-- generated from BENCH_spec_throughput.json by scripts/experiments_tables.py -->",
+        "",
+        "| core | throughput | vs cached spec machine |",
+        "|------|-----------:|-----------------------:|",
+    ]
+    for c in cores:
+        lines.append(f"| {c['config']} | {c['steps_per_sec'] / 1e6:.1f} Msteps/s "
+                     f"| {c['steps_per_sec'] / spec:.3f}× |")
+    hits, misses = data["icache"]["hits"], data["icache"]["misses"]
+    lines += [
+        "",
+        f"Decode cache vs seed path: **{data['cached_vs_seed_speedup']:.2f}×**; "
+        f"decode-cache hit rate {100 * hits / (hits + misses):.2f}% "
+        f"({hits} hits, {misses} misses).",
+    ]
+    return "\n".join(lines)
+
+
+def fault_sweep():
+    d = json.loads((ROOT / "BENCH_fault_sweep.json").read_text())["data"]
+    return "\n".join([
+        "<!-- generated from BENCH_fault_sweep.json by scripts/experiments_tables.py -->",
+        "",
+        "| metric | value |",
+        "|---|---|",
+        f"| seeds swept / conclusive / failures | {d['seeds']} / {d['conclusive']} / {d['failures']} |",
+        f"| wall clock | {d['seconds']:.1f} s ({d['seeds_per_sec']:.1f} seeds/s; adaptive "
+        f"{d['quick_cycles']}-cycle quick pass, continued to {d['max_cycles']} cycles) |",
+        f"| faults injected (device side) | {d['faults_injected']} |",
+        f"| driver retries observed in traces | {d['driver_retries']} |",
+        f"| driver re-initializations | {d['driver_reinits']} |",
+    ])
+
+
+TABLES = {"spec_throughput": spec_throughput, "fault_sweep": fault_sweep}
+
+
+def main():
+    path = ROOT / "EXPERIMENTS.md"
+    text = path.read_text()
+    for name, render in TABLES.items():
+        pattern = re.compile(
+            rf"(<!-- begin {name} -->).*?(<!-- end {name} -->)", re.DOTALL)
+        if not pattern.search(text):
+            raise SystemExit(f"EXPERIMENTS.md has no '{name}' markers")
+        text = pattern.sub(lambda m: f"{m.group(1)}\n{render()}\n{m.group(2)}", text)
+    path.write_text(text)
+
+
+if __name__ == "__main__":
+    main()
