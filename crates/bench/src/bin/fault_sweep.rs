@@ -1,8 +1,8 @@
 //! The fault-injection sweep: thousands of seeded device-fault plans run
 //! against the hardened lightbulb stack on both the pipelined processor
 //! and the ISA spec machine, each run checked for spec satisfaction and
-//! replay trace equality. `--json` emits a `bench-report/v1` record to
-//! `BENCH_fault_sweep.json`.
+//! replay trace equality. `--json` prints a `bench-report/v1` record on
+//! stdout (the committed one is `BENCH_fault_sweep.json`).
 //!
 //! Every seed derives a deterministic `FaultPlan` (delayed/never-ready
 //! registers, SPI wire garbage, RX stalls, dropped/truncated/corrupted
@@ -26,7 +26,7 @@
 //!   every 64 seeds, `--checkpoint-every N` to change);
 //! * `--resume PATH` (continue a killed sweep from its checkpoint);
 //! * `--triage-dir DIR` (where triage artifacts go; default: the
-//!   workspace root, next to `BENCH_fault_sweep.json`);
+//!   workspace root);
 //! * `--triage-demo` (run a planted unrecoverable plan through the full
 //!   triage path and write its artifact — the CI exercise that keeps the
 //!   red-sweep workflow from rotting);

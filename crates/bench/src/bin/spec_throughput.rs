@@ -1,7 +1,7 @@
 //! Interpreter and differential-tester throughput: the measured effect of
 //! the predecoded-instruction cache, batched stepping, and the sharded
-//! differential sweep. `--json` emits a `bench-report/v1` record to
-//! `BENCH_spec_throughput.json`.
+//! differential sweep. `--json` prints a `bench-report/v1` record on
+//! stdout (the committed one is `BENCH_spec_throughput.json`).
 //!
 //! Four execution cores run the same booted lightbulb image for a fixed
 //! instruction budget: the spec machine with the decode cache (the default

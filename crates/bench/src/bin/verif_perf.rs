@@ -3,41 +3,27 @@
 //! The paper reports 80 minutes of Coq plus ~2 hours of Kami refinement
 //! proof checking per CI run. This binary times the corresponding
 //! executable checks: the end-to-end trace check, the processor refinement
-//! check (single and sharded batch), a compiler-differential batch,
-//! representative symbolic-execution obligations, and the incremental
-//! verification engine itself — cold cache, warm cache, and sharded.
-//!
-//! Flags (beyond the shared `--json`):
-//!
-//! * `--cache PATH` — back the obligation cache with a persistent
-//!   `verif-cache/v1` store at `PATH`, so a second invocation re-proves
-//!   only what changed (the executable analogue of compiled `.vo` reuse);
-//! * `--engine-only` — run only the verification-engine section (the fast
-//!   CI smoke: pure proglogic, no processor simulation);
-//! * `--stable` — deterministic output mode: timings render as `0.0` and
-//!   no `BENCH_verif_perf.json` is written, so two runs over the same
-//!   cache state produce byte-identical `--json` documents (what the
-//!   cross-process cache tests pin down).
+//! check, a compiler-differential batch (serial and sharded), and the real
+//! driver proofs — `spi_put`, `spi_get` and `lan_tryrecv` through
+//! `SymExec::check_function`. A driver proof that fails verification
+//! panics, so the binary exits non-zero.
 
-use std::path::PathBuf;
+use std::rc::Rc;
 use std::time::Instant;
 
-use bedrock2::ast::BinOp;
-use bench::{emit_json, json_mode, json_record, render_table};
+use bench::{emit_json, json_mode, render_table};
+use lightbulb_system::bedrock2::Program;
 use lightbulb_system::devices::{Board, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
     check_compiler_differential, default_shards, parallel_sweep, DiffError,
 };
 use lightbulb_system::integration::progen::ProgGen;
 use lightbulb_system::integration::{build_image, end_to_end_lightbulb, SystemConfig};
-use lightbulb_system::processor::{check_refinement, check_refinement_batch, PipelineConfig};
+use lightbulb_system::lightbulb::{lan9250_driver, layout, spi_driver};
+use lightbulb_system::processor::{check_refinement, PipelineConfig};
 use obs::json::Value;
-use proglogic::{prove_batch, Formula, Obligation, ProofCache, Term};
-
-/// Obligations in the engine corpus. Large enough that the cold solve is
-/// comfortably measurable; every obligation is distinct (distinct
-/// fingerprints) and provable by the interval solver.
-const CORPUS: u32 = 12000;
+use proglogic::symexec::{Invariant, MmioExtSpec, SymExec, VcError, VcReport};
+use proglogic::{Formula, Term};
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
@@ -45,340 +31,185 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn opt_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
+fn mmio() -> MmioExtSpec {
+    MmioExtSpec {
+        ranges: layout::mmio_ranges(),
     }
-    None
 }
 
-/// A corpus of `n` distinct driver-style obligations. Each couples a
-/// padded-length computation (the `pad` idiom from the SPI driver) with a
-/// chain of scaled-offset additions whose depth and constants vary with
-/// `i`, so every obligation has a distinct fingerprint and a genuinely
-/// different proof. All are provable, so `proved == n` is part of the
-/// deterministic output.
-fn obligation_corpus(n: u32) -> Vec<Obligation> {
-    (0..n)
-        .map(|i| {
-            let len = Term::var(0, "len");
-            let idx = Term::var(1, "idx");
-            let bound = 64 + i; // distinct per obligation
-                                // padded = ((len + 3) / 4) * 4 ≤ bound + 2 whenever len < bound.
-            let padded = Term::op(
-                BinOp::Mul,
-                &Term::op(BinOp::DivU, &len.add_const(3), &Term::constant(4)),
-                &Term::constant(4),
-            );
-            // A chain of word-scaled offsets: padded + 4·idx + c_1 + … + c_d,
-            // depth varying with i so proofs differ structurally too.
-            let scaled = Term::op(BinOp::Mul, &idx, &Term::constant(4));
-            let mut acc = Term::op(BinOp::Add, &padded, &scaled);
-            let depth = 2 + (i % 5);
-            for d in 0..depth {
-                acc = acc.add_const(1 + (i + d) % 16);
-            }
-            // Upper bound of acc: (bound + 2) + 4·bound + 16·depth.
-            let limit = (bound + 2) + 4 * bound + 16 * depth + 1;
-            Obligation {
-                context: format!("driver offset chain {i}"),
-                assumptions: vec![
-                    Formula::ltu(&len, &Term::constant(bound)),
-                    Formula::leu(&idx, &Term::constant(bound)),
-                ],
-                goal: Formula::ltu(&acc, &Term::constant(limit)),
-            }
-        })
-        .collect()
+/// The trivial invariant of a polling loop: havoc what it assigns,
+/// assume nothing.
+fn polling_invariant(havoc: &[&str]) -> Invariant {
+    Invariant {
+        havoc: havoc.iter().map(|s| s.to_string()).collect(),
+        holds: Rc::new(|_| vec![]),
+    }
 }
 
-/// One engine phase, for the JSON record.
-struct Phase {
-    name: &'static str,
-    seconds: f64,
-    hits: u64,
-    misses: u64,
-    shards: usize,
-}
+/// The three driver proofs of `lightbulb/tests/driver_verification.rs`:
+/// the SPI byte transfers against the MMIO contract (`spi_get` also
+/// returns a byte), and `lan_tryrecv` memory-safe for every frame length
+/// with a result code below 4.
+///
+/// # Panics
+///
+/// Panics when a proof fails: every obligation of the real drivers must
+/// prove.
+fn driver_proofs() -> Vec<(&'static str, VcReport, f64)> {
+    let put = Program::from_functions([spi_driver::spi_put(true)]);
+    let get = Program::from_functions([spi_driver::spi_get(true)]);
+    let mut fns = spi_driver::functions(true);
+    fns.extend(lan9250_driver::functions(true, false));
+    let recv = Program::from_functions(fns);
 
-impl Phase {
-    fn json(&self, stable: bool) -> Value {
-        Value::obj()
-            .field(
-                "seconds",
-                Value::Float(if stable { 0.0 } else { self.seconds }),
+    let prove = |name: &'static str, check: &dyn Fn() -> Result<VcReport, VcError>| {
+        let (report, secs) = timed(check);
+        let report = report.unwrap_or_else(|e| panic!("{name} failed verification: {e}"));
+        (name, report, secs)
+    };
+    vec![
+        prove("spi_put", &|| {
+            let mut se = SymExec::new(&put, mmio());
+            se.set_invariant(0, polling_invariant(&["v", "i"]));
+            se.check_function("spi_put", |st| vec![st.fresh("b")], |_, _| vec![])
+        }),
+        prove("spi_get", &|| {
+            let mut se = SymExec::new(&get, mmio());
+            se.set_invariant(0, polling_invariant(&["v", "i"]));
+            se.check_function(
+                "spi_get",
+                |_| vec![],
+                |_, rets| vec![Formula::ltu(&rets[0], &Term::constant(256))],
             )
-            .field("hits", Value::UInt(self.hits))
-            .field("misses", Value::UInt(self.misses))
-            .field("shards", Value::UInt(self.shards as u64))
-    }
+        }),
+        prove("lan_tryrecv", &|| {
+            let mut se = SymExec::new(&recv, mmio());
+            se.auto_invariants = true;
+            se.check_function(
+                "lan_tryrecv",
+                |st| vec![st.add_region("buf", layout::RX_BUFFER_BYTES)],
+                |_, rets| vec![Formula::ltu(&rets[1], &Term::constant(4))],
+            )
+        }),
+    ]
 }
 
 fn main() {
-    let stable = flag("--stable");
-    let engine_only = flag("--engine-only");
-    let store = opt_value("--cache").map(PathBuf::from);
-
     let mut rows = Vec::new();
     // (name, seconds, work) — the numeric twin of `rows` for `--json`.
     let mut measured: Vec<(&str, f64, String)> = Vec::new();
 
-    if !engine_only {
-        // 1. End-to-end check: boot + 2 packets + trace matching.
-        let mut gen = TrafficGen::new(7);
-        let frames = vec![gen.command(true), gen.command(false)];
-        let (report, secs) = timed(|| {
-            end_to_end_lightbulb(
-                &SystemConfig::default(),
-                &frames,
-                600_000,
-                Some(&[true, false]),
-            )
-            .expect("end-to-end check")
-        });
-        rows.push(vec![
-            "end-to-end (boot + 2 packets + spec match)".to_string(),
-            format!("{secs:.2} s"),
-            format!(
-                "{} events, {} cycles",
-                report.events_checked, report.run.cycles
-            ),
-        ]);
-        measured.push((
-            "end_to_end",
-            secs,
-            format!(
-                "{} events, {} cycles",
-                report.events_checked, report.run.cycles
-            ),
-        ));
-
-        // 2. Processor refinement over the booted system.
-        let image = build_image(&SystemConfig::default());
-        let mut board = Board::new(SpiConfig::default());
-        board.inject_frame(&gen.command(true));
-        let (r, secs) = timed(|| {
-            check_refinement(
-                &image.bytes(),
-                0x1_0000,
-                board,
-                Board::claims,
-                PipelineConfig::default(),
-                2_000_000,
-            )
-            .expect("refinement")
-        });
-        rows.push(vec![
-            "pipelined ⊑ single-cycle (replay, 2M cycles)".to_string(),
-            format!("{secs:.2} s"),
-            format!("{} events matched", r.events),
-        ]);
-        measured.push(("refinement", secs, format!("{} events matched", r.events)));
-
-        // 2b. Independent refinement runs as one sharded batch.
-        let shards = default_shards();
-        let (batch, secs) = timed(|| {
-            let batch = check_refinement_batch(
-                &image.bytes(),
-                0x1_0000,
-                2,
-                shards,
-                |job| {
-                    let mut board = Board::new(SpiConfig::default());
-                    let mut gen = TrafficGen::new(11 + job as u64);
-                    board.inject_frame(&gen.command(job % 2 == 0));
-                    (board, Board::claims as fn(u32) -> bool)
-                },
-                PipelineConfig::default(),
-                600_000,
-            );
-            batch.expect_clean("verif_perf refinement batch");
-            batch
-        });
-        rows.push(vec![
-            format!("refinement batch (2 runs, {} shards)", batch.shards),
-            format!("{secs:.2} s"),
-            format!("{} events matched", batch.total_events()),
-        ]);
-        measured.push((
-            "refinement_batch",
-            secs,
-            format!(
-                "{} events matched, {} shards",
-                batch.total_events(),
-                batch.shards
-            ),
-        ));
-
-        // 3. Compiler differential batch.
-        let (n, secs) = timed(|| {
-            let mut conclusive = 0;
-            for seed in 0..40u64 {
-                match check_compiler_differential(&ProgGen::new(seed).gen_program(), false) {
-                    Ok(()) => conclusive += 1,
-                    Err(DiffError::SourceUb(_)) => {}
-                    Err(e) => panic!("seed {seed}: {e}"),
-                }
-            }
-            conclusive
-        });
-        rows.push(vec![
-            "compiler differential (40 random programs)".to_string(),
-            format!("{secs:.2} s"),
-            format!("{n} conclusive"),
-        ]);
-        measured.push(("compiler_differential", secs, format!("{n} conclusive")));
-
-        // 3b. The same batch, sharded across every hardware thread.
-        let (r, secs) = timed(|| {
-            let r = parallel_sweep(0..40, shards, |p| check_compiler_differential(p, false));
-            r.expect_clean("verif_perf parallel differential");
-            r
-        });
-        rows.push(vec![
-            format!("compiler differential (parallel, {shards} shards)"),
-            format!("{secs:.2} s"),
-            format!("{} conclusive", r.conclusive),
-        ]);
-        measured.push((
-            "compiler_differential_parallel",
-            secs,
-            format!("{} conclusive, {} shards", r.conclusive, r.shards),
-        ));
-    }
-
-    // 4. The verification engine: hash-consed terms, a fingerprint-keyed
-    // obligation cache (optionally persistent), sharded batch proving.
-    let mut cache = match &store {
-        Some(p) => ProofCache::with_store(p).expect("loading verification cache"),
-        None => ProofCache::new(),
-    };
-    let preloaded = cache.len() as u64;
-    let corpus = obligation_corpus(CORPUS);
-    let shards = default_shards();
-
-    // Cold (or, with a pre-existing store, disk-warm): every obligation
-    // runs against whatever the cache already holds.
-    let (cold_report, cold_secs) = timed(|| prove_batch(&corpus, 1, Some(&mut cache)));
-    // Warm: the same batch again — every obligation must now hit.
-    let (warm_report, warm_secs) = timed(|| prove_batch(&corpus, 1, Some(&mut cache)));
-    // Parallel cold: the batch sharded, against an empty cache, so the
-    // per-shard solve work is real.
-    let (par_report, par_secs) = timed(|| prove_batch(&corpus, shards, None));
-    assert_eq!(
-        cold_report.outcomes, par_report.outcomes,
-        "outcomes must be shard-invariant"
-    );
-
-    // 4b. The same cache driving the symbolic executor end to end:
-    // driver-style VCs, deferred and proved as one sharded batch.
-    let (vc, se_secs) = timed(|| {
-        use bedrock2::dsl::*;
-        use bedrock2::{Function, Program};
-        use proglogic::symexec::{MmioExtSpec, SymExec};
-        let pad = Function::new(
-            "pad",
-            &["len"],
-            &["p"],
-            set("p", mul(divu(add(var("len"), lit(3)), lit(4)), lit(4))),
-        );
-        let prog = Program::from_functions([pad]);
-        let mut se = SymExec::new(
-            &prog,
-            MmioExtSpec {
-                ranges: lightbulb_system::lightbulb::layout::mmio_ranges(),
-            },
-        );
-        se.set_cache(cache.clone());
-        let report = se
-            .check_function_parallel(
-                "pad",
-                |st| {
-                    let len = st.fresh("len");
-                    st.assume(Formula::ltu(&len, &Term::constant(1520)));
-                    vec![len]
-                },
-                |_st, rets| vec![Formula::ltu(&rets[0], &Term::constant(2048))],
-                shards,
-            )
-            .expect("vc");
-        cache = se.take_cache().expect("cache was installed above");
-        report
+    // 1. End-to-end check: boot + 2 packets + trace matching.
+    let mut gen = TrafficGen::new(7);
+    let frames = vec![gen.command(true), gen.command(false)];
+    let (report, secs) = timed(|| {
+        end_to_end_lightbulb(
+            &SystemConfig::default(),
+            &frames,
+            600_000,
+            Some(&[true, false]),
+        )
+        .expect("end-to-end check")
     });
-
-    if let Some(p) = &store {
-        cache
-            .save()
-            .unwrap_or_else(|e| panic!("saving verification cache to {}: {e}", p.display()));
-    }
-
-    let phases = [
-        Phase {
-            name: "cold",
-            seconds: cold_secs,
-            hits: cold_report.cache_hits,
-            misses: cold_report.cache_misses,
-            shards: 1,
-        },
-        Phase {
-            name: "warm",
-            seconds: warm_secs,
-            hits: warm_report.cache_hits,
-            misses: warm_report.cache_misses,
-            shards: 1,
-        },
-        Phase {
-            name: "parallel",
-            seconds: par_secs,
-            hits: par_report.cache_hits,
-            misses: par_report.cache_misses,
-            shards: par_report.shards,
-        },
-    ];
-    for p in &phases {
-        rows.push(vec![
-            format!(
-                "obligation engine ({}, {} VCs, {} shard{})",
-                p.name,
-                CORPUS,
-                p.shards,
-                if p.shards == 1 { "" } else { "s" }
-            ),
-            format!("{:.4} s", p.seconds),
-            format!("{} hits, {} misses", p.hits, p.misses),
-        ]);
-    }
     rows.push(vec![
-        "symbolic execution (cached, sharded batch)".to_string(),
-        format!("{se_secs:.4} s"),
+        "end-to-end (boot + 2 packets + spec match)".to_string(),
+        format!("{secs:.2} s"),
         format!(
-            "{} obligations, {} hits, {} misses",
-            vc.obligations, vc.cache_hits, vc.cache_misses
+            "{} events, {} cycles",
+            report.events_checked, report.run.cycles
         ),
     ]);
-    let warm_speedup = if warm_secs > 0.0 {
-        cold_secs / warm_secs
-    } else {
-        0.0
-    };
     measured.push((
-        "engine",
-        cold_secs + warm_secs + par_secs + se_secs,
+        "end_to_end",
+        secs,
         format!(
-            "{CORPUS} VCs; cold {} hits / {} misses, warm {} hits / {} misses",
-            cold_report.cache_hits,
-            cold_report.cache_misses,
-            warm_report.cache_hits,
-            warm_report.cache_misses
+            "{} events, {} cycles",
+            report.events_checked, report.run.cycles
         ),
     ));
+
+    // 2. Processor refinement over the booted system.
+    let image = build_image(&SystemConfig::default());
+    let mut board = Board::new(SpiConfig::default());
+    board.inject_frame(&gen.command(true));
+    let (r, secs) = timed(|| {
+        check_refinement(
+            &image.bytes(),
+            0x1_0000,
+            board,
+            Board::claims,
+            PipelineConfig::default(),
+            2_000_000,
+        )
+        .expect("refinement")
+    });
+    rows.push(vec![
+        "pipelined ⊑ single-cycle (replay, 2M cycles)".to_string(),
+        format!("{secs:.2} s"),
+        format!("{} events matched", r.events),
+    ]);
+    measured.push(("refinement", secs, format!("{} events matched", r.events)));
+
+    // 3. Compiler differential batch.
+    let (n, secs) = timed(|| {
+        let mut conclusive = 0;
+        for seed in 0..40u64 {
+            match check_compiler_differential(&ProgGen::new(seed).gen_program(), false) {
+                Ok(()) => conclusive += 1,
+                Err(DiffError::SourceUb(_)) => {}
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+        }
+        conclusive
+    });
+    rows.push(vec![
+        "compiler differential (40 random programs)".to_string(),
+        format!("{secs:.2} s"),
+        format!("{n} conclusive"),
+    ]);
+    measured.push(("compiler_differential", secs, format!("{n} conclusive")));
+
+    // 3b. The same batch, sharded across every hardware thread.
+    let shards = default_shards();
+    let (r, secs) = timed(|| {
+        let r = parallel_sweep(0..40, shards, |p| check_compiler_differential(p, false));
+        r.expect_clean("verif_perf parallel differential");
+        r
+    });
+    rows.push(vec![
+        format!("compiler differential (parallel, {shards} shards)"),
+        format!("{secs:.2} s"),
+        format!("{} conclusive", r.conclusive),
+    ]);
+    measured.push((
+        "compiler_differential_parallel",
+        secs,
+        format!("{} conclusive, {} shards", r.conclusive, r.shards),
+    ));
+
+    // 4. The real driver proofs, one symbolic execution each.
+    let proofs = driver_proofs();
+    let work = |r: &VcReport| {
+        format!(
+            "{} obligations, {} paths, {} solver queries",
+            r.obligations, r.paths, r.solver_queries
+        )
+    };
+    for (name, report, secs) in &proofs {
+        rows.push(vec![
+            format!("driver proof: {name}"),
+            format!("{secs:.4} s"),
+            work(report),
+        ]);
+    }
+    let mut all = VcReport::default();
+    for (_, r, _) in &proofs {
+        all.obligations += r.obligations;
+        all.paths += r.paths;
+        all.solver_queries += r.solver_queries;
+    }
+    let proof_secs: f64 = proofs.iter().map(|(_, _, s)| s).sum();
+    measured.push(("driver_proofs", proof_secs, work(&all)));
 
     if json_mode() {
         let checks = Value::Arr(
@@ -387,42 +218,34 @@ fn main() {
                 .map(|(name, secs, work)| {
                     Value::obj()
                         .field("check", Value::Str((*name).to_string()))
-                        .field("seconds", Value::Float(if stable { 0.0 } else { *secs }))
+                        .field("seconds", Value::Float(*secs))
                         .field("work", Value::Str(work.clone()))
                 })
                 .collect(),
         );
-        let engine = Value::obj()
-            .field("obligations", Value::UInt(u64::from(CORPUS)))
-            .field("proved", Value::UInt(cold_report.proved() as u64))
-            .field("preloaded", Value::UInt(preloaded))
-            .field("cold", phases[0].json(stable))
-            .field("warm", phases[1].json(stable))
-            .field("parallel", phases[2].json(stable))
-            .field(
-                "warm_speedup",
-                Value::Float(if stable { 0.0 } else { warm_speedup }),
-            )
-            .field(
-                "symexec",
-                Value::obj()
-                    .field("seconds", Value::Float(if stable { 0.0 } else { se_secs }))
-                    .field("obligations", Value::UInt(vc.obligations as u64))
-                    .field("hits", Value::UInt(vc.cache_hits))
-                    .field("misses", Value::UInt(vc.cache_misses))
-                    .field("shards", Value::UInt(vc.shards)),
-            );
-        let data = Value::obj().field("checks", checks).field("engine", engine);
-        if stable {
-            // Deterministic mode: print the record but never touch the
-            // committed BENCH_verif_perf.json.
-            let text = json_record("verif_perf", data).render();
-            obs::json::parse(&text)
-                .unwrap_or_else(|e| panic!("verif_perf: emitted invalid JSON: {e}"));
-            println!("{text}");
-        } else {
-            emit_json("verif_perf", data);
-        }
+        let counts = |obj: Value, r: &VcReport, secs: f64| {
+            obj.field("obligations", Value::UInt(r.obligations as u64))
+                .field("paths", Value::UInt(r.paths as u64))
+                .field("solver_queries", Value::UInt(r.solver_queries))
+                .field("seconds", Value::Float(secs))
+        };
+        let per_proof = Value::Arr(
+            proofs
+                .iter()
+                .map(|(name, r, secs)| {
+                    counts(
+                        Value::obj().field("function", Value::Str((*name).into())),
+                        r,
+                        *secs,
+                    )
+                })
+                .collect(),
+        );
+        let driver = counts(Value::obj(), &all, proof_secs).field("proofs", per_proof);
+        let data = Value::obj()
+            .field("checks", checks)
+            .field("driver_proofs", driver);
+        emit_json("verif_perf", data);
         return;
     }
     print!(
@@ -432,15 +255,6 @@ fn main() {
             &["check", "wall clock", "work"],
             &rows
         )
-    );
-    println!();
-    println!(
-        "obligation cache: warm run {warm_speedup:.1}x faster than cold ({} entries{})",
-        cache.len(),
-        match &store {
-            Some(p) => format!(", persisted to {}", p.display()),
-            None => String::new(),
-        }
     );
     println!();
     println!("paper: ~80 min Coq build + ~2 h Kami refinement checking per CI run.");

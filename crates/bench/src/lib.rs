@@ -177,10 +177,11 @@ pub fn json_record(bin: &str, data: Value) -> Value {
         .field("data", data)
 }
 
-/// Emits one bench record: prints it to stdout as a single JSON document
-/// and writes it to `BENCH_<bin>.json` at the workspace root. The rendered
-/// text is parsed back with [`obs::json::parse`] first — a bench must
-/// never publish an invalid record.
+/// Emits one bench record: prints it to stdout as a single JSON document.
+/// The rendered text is parsed back with [`obs::json::parse`] first — a
+/// bench must never publish an invalid record. Re-record a committed
+/// baseline by redirecting stdout:
+/// `cargo run --release -p bench --bin X -- --json > BENCH_X.json`.
 ///
 /// # Panics
 ///
@@ -190,10 +191,6 @@ pub fn emit_json(bin: &str, data: Value) {
     let text = json_record(bin, data).render();
     obs::json::parse(&text).unwrap_or_else(|e| panic!("{bin}: emitted invalid JSON: {e}"));
     println!("{text}");
-    let path = workspace_root().join(format!("BENCH_{bin}.json"));
-    if let Err(e) = fs::write(&path, format!("{text}\n")) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
 }
 
 /// One latency measurement: packet handover → GPIO actuation.

@@ -153,3 +153,110 @@ fn spec_throughput_table_matches_its_record() {
         "decode-cache hit rate",
     );
 }
+
+/// The cells of every body row of a generated markdown table (the header
+/// and separator rows skipped).
+fn body_rows(table: &str) -> Vec<Vec<String>> {
+    table
+        .lines()
+        .filter(|l| l.starts_with("| "))
+        .skip(1)
+        .map(|l| {
+            l.trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+fn text<'a>(v: &'a Value, key: &str) -> &'a str {
+    match v.get(key) {
+        Some(Value::Str(s)) => s,
+        other => panic!("record field {key}: {other:?}"),
+    }
+}
+
+fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
+    match v.get(key) {
+        Some(Value::Arr(items)) => items,
+        other => panic!("record field {key}: {other:?}"),
+    }
+}
+
+#[test]
+fn table4_matches_its_record() {
+    let (doc, data) = doc_and_record("table4");
+    let records = array(&data, "rows");
+    let rows = body_rows(&block(&doc, "table4"));
+    assert_eq!(
+        rows.len(),
+        records.len(),
+        "one table row per recorded layer"
+    );
+    for (row, rec) in rows.iter().zip(records) {
+        let layer = text(rec, "layer");
+        assert_eq!(row[0], layer);
+        let (code, tests) = (text(rec, "implementation"), text(rec, "checking (tests)"));
+        assert_quotes(&row[1], code.parse().expect("impl count"), layer);
+        assert_quotes(&row[2], tests.parse().expect("checking count"), layer);
+        assert_eq!(row[3], text(rec, "overhead"), "{layer} overhead");
+        if row[3] != "—" {
+            let (code, tests): (f64, f64) = (code.parse().unwrap(), tests.parse().unwrap());
+            assert_quotes(
+                leading_number(&row[3]),
+                (code + tests) / code,
+                &format!("{layer} overhead"),
+            );
+        }
+    }
+    let total = rows.last().expect("a TOTAL row");
+    assert_eq!(total[0], "TOTAL");
+    assert_quotes(&total[1], num(&data, "impl_loc"), "impl_loc");
+    assert_quotes(&total[2], num(&data, "checking_loc"), "checking_loc");
+}
+
+#[test]
+fn verif_perf_table_matches_its_record() {
+    let (doc, data) = doc_and_record("verif_perf");
+    let checks = array(&data, "checks");
+    let rows = body_rows(&block(&doc, "verif_perf"));
+    assert_eq!(rows.len(), checks.len(), "one table row per recorded check");
+    for (row, check) in rows.iter().zip(checks) {
+        let name = text(check, "check");
+        assert_eq!(row[0], name);
+        assert_quotes(leading_number(&row[1]), num(check, "seconds"), name);
+        assert_eq!(row[2], text(check, "work"), "{name} work");
+    }
+}
+
+#[test]
+fn driver_proofs_table_matches_its_record() {
+    let (doc, data) = doc_and_record("verif_perf");
+    let driver = data.get("driver_proofs").expect("driver_proofs");
+    let proofs = array(driver, "proofs");
+    let rows = body_rows(&block(&doc, "driver_proofs"));
+    assert_eq!(
+        rows.len(),
+        proofs.len() + 1,
+        "one row per proof plus the total"
+    );
+    let expected = proofs
+        .iter()
+        .map(|p| (text(p, "function"), p))
+        .chain([("total", driver)]);
+    for (row, (name, rec)) in rows.iter().zip(expected) {
+        assert_eq!(row[0], name);
+        for (cell, field) in row[1..4]
+            .iter()
+            .zip(["obligations", "paths", "solver_queries"])
+        {
+            assert_quotes(cell, num(rec, field), &format!("{name} {field}"));
+        }
+        assert_quotes(
+            leading_number(&row[4]),
+            1e3 * num(rec, "seconds"),
+            &format!("{name} milliseconds"),
+        );
+    }
+}

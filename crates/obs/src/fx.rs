@@ -11,12 +11,10 @@
 //! * [`mix64`] / [`mix64b`] — the raw one-word mixing steps, exposed for
 //!   code that folds *structural fingerprints* incrementally (the
 //!   hash-consed term DAG in `proglogic` combines both lanes into a
-//!   128-bit fingerprint so obligation-cache keys can treat fingerprint
-//!   equality as structural equality).
+//!   128-bit fingerprint, the key of its interners).
 //!
-//! Determinism matters more than speed here: fingerprints are persisted in
-//! `verif-cache/v1` files and compared across processes, so the constants
-//! below are part of the on-disk format and must never change silently.
+//! The hasher is unseeded, so a map keyed through it iterates in the same
+//! order in every run: walking one cannot make two runs differ.
 
 /// Golden-ratio multiplier used by the primary mixing lane.
 pub const K1: u64 = 0x9E37_79B9_7F4A_7C15;

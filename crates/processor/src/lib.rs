@@ -38,7 +38,5 @@ pub use btb::Btb;
 pub use icache::ICache;
 pub use memsys::MemSystem;
 pub use pipeline::{PipelineConfig, PipelineStats, Pipelined};
-pub use refinement::{
-    check_refinement, check_refinement_batch, Divergence, RefinementBatch, RefinementReport,
-};
+pub use refinement::{check_refinement, Divergence, RefinementReport};
 pub use spec_core::SingleCycle;

@@ -21,7 +21,6 @@
 
 use crate::pipeline::{PipelineConfig, Pipelined};
 use crate::spec_core::SingleCycle;
-use obs::Counters;
 use riscv_spec::{AccessSize, MmioEvent, MmioEventKind, MmioHandler};
 use std::collections::VecDeque;
 
@@ -260,137 +259,6 @@ where
     })
 }
 
-/// Result of a sharded refinement batch ([`check_refinement_batch`]):
-/// per-job reports in job order plus the shard count used.
-#[derive(Clone, Debug)]
-pub struct RefinementBatch {
-    /// Outcome of each job, in job (= submission) order.
-    pub reports: Vec<Result<RefinementReport, Divergence>>,
-    /// Shards the batch ran on.
-    pub shards: usize,
-}
-
-impl RefinementBatch {
-    /// The first diverging job, if any, with its index.
-    pub fn first_divergence(&self) -> Option<(usize, &Divergence)> {
-        self.reports
-            .iter()
-            .enumerate()
-            .find_map(|(i, r)| r.as_ref().err().map(|d| (i, d)))
-    }
-
-    /// Whether every job refined.
-    pub fn is_clean(&self) -> bool {
-        self.first_divergence().is_none()
-    }
-
-    /// Panics with the first diverging job — the batch analogue of
-    /// `Result::unwrap` for test harnesses, mirroring
-    /// `SweepReport::expect_clean` in `crates/core`.
-    pub fn expect_clean(&self, name: &str) {
-        if let Some((job, d)) = self.first_divergence() {
-            panic!(
-                "{name}: {} of {} refinement jobs diverged; first is job {job} \
-                 (reproduce: rerun that job with 1 shard): {d:?}",
-                self.reports.iter().filter(|r| r.is_err()).count(),
-                self.reports.len(),
-            );
-        }
-    }
-
-    /// Total MMIO events matched across the successful jobs.
-    pub fn total_events(&self) -> usize {
-        self.reports
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.events)
-            .sum()
-    }
-
-    /// Telemetry: `processor.refinement.{runs,diverged,events,shards}`.
-    pub fn counters(&self) -> Counters {
-        let mut c = Counters::new();
-        c.set("processor.refinement.runs", self.reports.len() as u64);
-        c.set(
-            "processor.refinement.diverged",
-            self.reports.iter().filter(|r| r.is_err()).count() as u64,
-        );
-        c.set("processor.refinement.events", self.total_events() as u64);
-        c.set("processor.refinement.shards", self.shards as u64);
-        c
-    }
-}
-
-/// Runs `jobs` independent refinement checks over the same `image`,
-/// sharded across `shards` OS threads.
-///
-/// Each refinement check is inherently sequential — the spec core replays
-/// the implementation's trace event by event — but *independent runs*
-/// (different device states, injected frames, pipeline configs via the
-/// closure's captured state) are embarrassingly parallel, exactly like
-/// differential-test seeds. The same determinism discipline as
-/// `differential::parallel_sweep` applies: job indices are split into
-/// contiguous chunks, one per shard, and shard results are merged back in
-/// shard (= ascending job) order, so `reports` is a deterministic function
-/// of the inputs regardless of `shards`.
-///
-/// `build` is called once per job (from that job's shard thread) and
-/// returns the device model and MMIO-claim predicate for that run.
-pub fn check_refinement_batch<M, F, B>(
-    image: &[u8],
-    ram_bytes: u32,
-    jobs: usize,
-    shards: usize,
-    build: B,
-    config: PipelineConfig,
-    max_cycles: u64,
-) -> RefinementBatch
-where
-    M: MmioHandler,
-    F: Fn(u32) -> bool,
-    B: Fn(usize) -> (M, F) + Sync,
-{
-    let shards = shards.clamp(1, jobs.max(1));
-    let run = |job: usize| {
-        let (devices, claims) = build(job);
-        check_refinement(image, ram_bytes, devices, claims, config, max_cycles)
-    };
-
-    let mut reports = Vec::with_capacity(jobs);
-    if shards == 1 {
-        // Degenerate case inline — no thread spawn on single-core runners.
-        reports.extend((0..jobs).map(run));
-    } else {
-        let per_shard = jobs.div_ceil(shards);
-        let chunks: Vec<std::ops::Range<usize>> = (0..shards)
-            .map(|s| (s * per_shard).min(jobs)..((s + 1) * per_shard).min(jobs))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let mut results: Vec<Option<Vec<Result<RefinementReport, Divergence>>>> = Vec::new();
-        results.resize_with(chunks.len(), || None);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for chunk in &chunks {
-                let run = &run;
-                handles.push(scope.spawn(move || chunk.clone().map(run).collect()));
-            }
-            // Join in shard order: the merge below is deterministic.
-            for (slot, handle) in results.iter_mut().zip(handles) {
-                *slot = Some(
-                    handle
-                        .join()
-                        .expect("refinement shard panicked; the checker must not panic"),
-                );
-            }
-        });
-        for slot in results {
-            reports.extend(slot.expect("every shard slot is filled by the scope above"));
-        }
-    }
-
-    RefinementBatch { reports, shards }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,127 +455,5 @@ mod tests {
             err.is_err(),
             "stale-instruction divergence must be detected"
         );
-    }
-
-    #[test]
-    fn batch_reports_are_shard_invariant() {
-        // x5 = 0x10000000; write 5; read; ebreak — each job starts its
-        // counter device at a different value, so the runs are genuinely
-        // distinct but all refine.
-        let img = image(&[
-            I::Lui {
-                rd: Reg::X5,
-                imm20: 0x10000,
-            },
-            I::Addi {
-                rd: Reg::X6,
-                rs1: Reg::X0,
-                imm: 5,
-            },
-            I::Sw {
-                rs1: Reg::X5,
-                rs2: Reg::X6,
-                offset: 0,
-            },
-            I::Lw {
-                rd: Reg::X7,
-                rs1: Reg::X5,
-                offset: 0,
-            },
-            I::Ebreak,
-        ]);
-        let build = |job: usize| {
-            (
-                Counter {
-                    value: job as u32 * 10,
-                },
-                claims,
-            )
-        };
-        let baseline = check_refinement_batch(
-            &img,
-            0x1000,
-            7,
-            1,
-            build,
-            PipelineConfig::default(),
-            1_000_000,
-        );
-        baseline.expect_clean("refinement batch");
-        assert_eq!(baseline.reports.len(), 7);
-        assert_eq!(baseline.total_events(), 7 * 2);
-        for shards in [2, 3, 8] {
-            let batch = check_refinement_batch(
-                &img,
-                0x1000,
-                7,
-                shards,
-                build,
-                PipelineConfig::default(),
-                1_000_000,
-            );
-            assert_eq!(batch.reports, baseline.reports, "shards={shards}");
-        }
-        let c = baseline.counters();
-        assert_eq!(c.get("processor.refinement.runs"), 7);
-        assert_eq!(c.get("processor.refinement.diverged"), 0);
-        assert_eq!(c.get("processor.refinement.events"), 14);
-    }
-
-    #[test]
-    fn batch_surfaces_first_divergence_by_job_index() {
-        // Every job runs the self-modifying-code program from
-        // `planted_bug_is_caught`, so every job diverges; the batch must
-        // report the lowest job index first regardless of sharding.
-        let addi9 = riscv_spec::encode(&I::Addi {
-            rd: Reg::X5,
-            rs1: Reg::X0,
-            imm: 9,
-        });
-        let hi = addi9.wrapping_add(0x800) >> 12;
-        let lo = riscv_spec::word::sign_extend(addi9 & 0xFFF, 12) as i32;
-        let prog = [
-            I::Lui {
-                rd: Reg::X6,
-                imm20: hi & 0xFFFFF,
-            },
-            I::Addi {
-                rd: Reg::X6,
-                rs1: Reg::X6,
-                imm: lo,
-            },
-            I::Sw {
-                rs1: Reg::X0,
-                rs2: Reg::X6,
-                offset: 4 * 4,
-            },
-            I::NOP,
-            I::Addi {
-                rd: Reg::X5,
-                rs1: Reg::X0,
-                imm: 7,
-            },
-            I::Sw {
-                rs1: Reg::X0,
-                rs2: Reg::X5,
-                offset: 0x100,
-            },
-            I::Ebreak,
-        ];
-        let batch = check_refinement_batch(
-            &image(&prog),
-            0x1000,
-            3,
-            2,
-            |_| (Counter::default(), claims),
-            PipelineConfig::default(),
-            1_000_000,
-        );
-        let (job, _) = batch
-            .first_divergence()
-            .expect("stale-instruction divergence must be detected");
-        assert_eq!(job, 0, "first divergence reports the lowest job index");
-        assert!(!batch.is_clean());
-        assert_eq!(batch.counters().get("processor.refinement.diverged"), 3);
     }
 }

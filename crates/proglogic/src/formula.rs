@@ -2,7 +2,7 @@
 //!
 //! A [`Formula`] is an interned, immutable node carrying a cached 128-bit
 //! structural fingerprint, so formula equality has a pointer fast path and
-//! `Hash` is O(1) — the properties the solver's obligation cache keys on.
+//! `Hash` is O(1), as for terms.
 //! Pattern matching goes through [`Formula::view`], which exposes the
 //! structure as a borrow without giving up the interned representation:
 //!
@@ -37,8 +37,8 @@ enum Node {
 }
 
 struct Inner {
-    /// Structural fingerprint; feeds the `verif-cache/v1` obligation keys,
-    /// so the tags and mixing below are part of the on-disk format.
+    /// Structural fingerprint, fixed at construction: the interner key
+    /// and the `Hash` value.
     fp: u128,
     node: Node,
 }

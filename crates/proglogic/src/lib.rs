@@ -10,7 +10,7 @@
 //!   [`trace::Monitor`] that checks recorded MMIO traces against it
 //!   (including the *prefix* acceptance the end-to-end theorem needs);
 //! * [`term`] / [`formula`] — symbolic 32-bit words and assertions over
-//!   them;
+//!   them, hash-consed so equality and hashing are O(1);
 //! * [`solver`] — a small decision procedure (simplification, constant
 //!   propagation, unsigned interval reasoning) standing in for the Coq
 //!   tactics (and their performance woes, §7.3.1) of the paper;
@@ -18,29 +18,22 @@
 //!   must hold for a Bedrock2 statement to run without undefined behavior
 //!   and end in a state satisfying a postcondition, handling loops by
 //!   user-supplied invariants (exactly the shape of §4.1) and external
-//!   calls by a pluggable specification (`vcextern`, §6.1);
-//! * [`engine`] — the parallel, incremental face of the prover: terms and
-//!   formulas are hash-consed with cached 128-bit fingerprints, proved
-//!   obligations are memoized in a [`solver::ProofCache`] (optionally
-//!   persisted as `verif-cache/v1`, so re-runs only pay for changed VCs),
-//!   and independent obligations shard across `std::thread::scope`
-//!   workers with deterministic merge order.
+//!   calls by a pluggable specification (`vcextern`, §6.1). It discharges
+//!   each obligation eagerly, in exploration order, on the calling thread.
 //!
 //! The paper machine-checks these obligations in Coq; here the obligations
 //! are *generated* the same way and *discharged* by [`solver`], making the
 //! logic an executable development tool rather than a foundational proof —
 //! the honest equivalent available to a Rust library.
 
-pub mod engine;
 pub mod formula;
 pub mod solver;
 pub mod symexec;
 pub mod term;
 pub mod trace;
 
-pub use engine::{prove_batch, BatchReport, Obligation};
 pub use formula::{Formula, FormulaView};
-pub use solver::{contradictory, obligation_fingerprint, prove, Outcome, ProofCache};
+pub use solver::{contradictory, prove, Outcome};
 pub use symexec::{ExtSpec, SymExec, SymState, VcError};
 pub use term::Term;
 pub use trace::{Monitor, TracePred};

@@ -1,4 +1,4 @@
-//! A lightweight prover for word formulas, with an obligation cache.
+//! A lightweight prover for word formulas.
 //!
 //! The paper spent much of its engineering budget fighting Coq tactic
 //! performance on exactly these goals — linear arithmetic, bitvectors,
@@ -14,33 +14,12 @@
 //! never "false". The symbolic executor treats Unknown as a verification
 //! failure, the same stance a proof assistant takes toward an unfinished
 //! goal.
-//!
-//! # The obligation cache
-//!
-//! [`prove`] is a pure function of `(assumptions, goal)`, and hash-consed
-//! formulas carry 128-bit structural fingerprints — so an obligation can
-//! be keyed by one `u128` and its outcome reused instead of re-derived.
-//! [`ProofCache`] does exactly that, in memory and optionally persisted as
-//! a `verif-cache/v1` file (written atomically, temp-file + rename, the
-//! same discipline as `SweepCheckpoint::write_atomic` in `crates/core`).
-//! Only `Proved` outcomes are persisted: like a compiled Coq proof (`.vo`
-//! after `Qed`), a proved obligation never needs re-checking, whereas an
-//! `Unknown` might become provable when the procedure improves, so pinning
-//! it across runs would freeze today's incompleteness into the cache.
-//!
-//! Fingerprints are *order-sensitive* in the assumption list. `prove`'s
-//! context construction iterates assumptions in order, so two orderings
-//! are distinct cache keys; this keeps the cached and uncached procedures
-//! bit-for-bit equivalent (tested by `tests/cache_equiv.rs`) at the cost
-//! of a miss when a caller reorders an otherwise identical VC — which the
-//! deterministic symbolic executor never does.
 
 use crate::formula::{Formula, FormulaView};
 use crate::term::{SymVar, Term};
 use bedrock2::ast::BinOp;
 use obs::fx;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 
 /// Result of a proof attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -497,253 +476,6 @@ pub fn contradictory(assumptions: &[Formula]) -> bool {
     false
 }
 
-// ---------------------------------------------------------------------------
-// Obligation fingerprints and the proof cache.
-// ---------------------------------------------------------------------------
-
-/// Seed distinguishing prove-obligation keys from every other fingerprint
-/// domain (terms, formulas, contradiction queries).
-const PROVE_SEED: u128 = 0x4528_21E6_38D0_1377_BE54_66CF_34E9_0C6C;
-
-/// Seed for [`contradictory`] queries: `(assumptions, ⊥-question)` must
-/// never collide with a prove key over the same assumptions.
-const CONTRA_SEED: u128 = 0xC0AC_29B7_C97C_50DD_3F84_D5B5_B547_0917;
-
-fn fold128(h: u128, x: u128) -> u128 {
-    fx::mix128(fx::mix128(h, x as u64), (x >> 64) as u64)
-}
-
-/// The cache key for a prove obligation. Order-sensitive over the
-/// assumption list (see the module docs for why).
-pub fn obligation_fingerprint(assumptions: &[Formula], goal: &Formula) -> u128 {
-    let mut h = fx::mix128(PROVE_SEED, assumptions.len() as u64);
-    for a in assumptions {
-        h = fold128(h, a.fingerprint());
-    }
-    fold128(h, goal.fingerprint())
-}
-
-/// The cache key for a contradiction (path-feasibility) query.
-pub fn feasibility_fingerprint(assumptions: &[Formula]) -> u128 {
-    let mut h = fx::mix128(CONTRA_SEED, assumptions.len() as u64);
-    for a in assumptions {
-        h = fold128(h, a.fingerprint());
-    }
-    h
-}
-
-/// Schema identifier of the persistent store file.
-pub const CACHE_SCHEMA: &str = "verif-cache/v1";
-
-/// A fingerprint-keyed cache of solver outcomes.
-///
-/// In memory it caches every query (both [`prove`] and [`contradictory`],
-/// both outcomes — the solver is deterministic, so replaying a hit is
-/// indistinguishable from re-solving). With a backing [`Self::store`]
-/// path, *proved* obligations are additionally persisted across processes
-/// as a `verif-cache/v1` JSON file, so a re-run only pays for obligations
-/// whose VCs actually changed — the moral equivalent of Coq reusing a
-/// compiled `.vo` instead of re-running `Qed`.
-#[derive(Clone, Debug, Default)]
-pub struct ProofCache {
-    map: HashMap<u128, Outcome, fx::FxBuild>,
-    store: Option<PathBuf>,
-    hits: u64,
-    misses: u64,
-}
-
-impl ProofCache {
-    /// An empty in-memory cache.
-    pub fn new() -> ProofCache {
-        ProofCache::default()
-    }
-
-    /// A cache backed by `path`. When the file exists its proved entries
-    /// are loaded (a warm start); a missing file is an empty cold cache.
-    ///
-    /// # Errors
-    ///
-    /// A printable message when the file exists but is unreadable or not a
-    /// well-formed `verif-cache/v1` document.
-    pub fn with_store(path: &Path) -> Result<ProofCache, String> {
-        let mut cache = ProofCache {
-            store: Some(path.to_path_buf()),
-            ..ProofCache::default()
-        };
-        if !path.exists() {
-            return Ok(cache);
-        }
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let doc = obs::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        match doc.get("schema").and_then(|v| v.as_str()) {
-            Some(CACHE_SCHEMA) => {}
-            other => {
-                return Err(format!(
-                    "{}: schema {:?}, expected {CACHE_SCHEMA:?}",
-                    path.display(),
-                    other
-                ))
-            }
-        }
-        let entries = doc
-            .get("proved")
-            .and_then(|v| v.as_arr())
-            .ok_or_else(|| format!("{}: missing \"proved\" array", path.display()))?;
-        for e in entries {
-            let hex = e
-                .as_str()
-                .ok_or_else(|| format!("{}: non-string fingerprint", path.display()))?;
-            let fp = u128::from_str_radix(hex, 16)
-                .map_err(|e| format!("{}: bad fingerprint {hex:?}: {e}", path.display()))?;
-            cache.map.insert(fp, Outcome::Proved);
-        }
-        Ok(cache)
-    }
-
-    /// The backing store path, when persistent.
-    pub fn store(&self) -> Option<&Path> {
-        self.store.as_deref()
-    }
-
-    /// Cache hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses (queries actually solved) since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of cached outcomes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no outcomes.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Looks up a prove obligation, solving and recording it on a miss.
-    pub fn prove(&mut self, assumptions: &[Formula], goal: &Formula) -> Outcome {
-        let fp = obligation_fingerprint(assumptions, goal);
-        if let Some(&outcome) = self.map.get(&fp) {
-            self.hits += 1;
-            return outcome;
-        }
-        self.misses += 1;
-        let outcome = prove(assumptions, goal);
-        self.map.insert(fp, outcome);
-        outcome
-    }
-
-    /// Looks up a feasibility query, solving and recording it on a miss.
-    /// (`Proved` encodes "contradictory".)
-    pub fn contradictory(&mut self, assumptions: &[Formula]) -> bool {
-        let fp = feasibility_fingerprint(assumptions);
-        if let Some(&outcome) = self.map.get(&fp) {
-            self.hits += 1;
-            return outcome == Outcome::Proved;
-        }
-        self.misses += 1;
-        let contra = contradictory(assumptions);
-        let outcome = if contra {
-            Outcome::Proved
-        } else {
-            Outcome::Unknown
-        };
-        self.map.insert(fp, outcome);
-        contra
-    }
-
-    /// Inserts an already-solved outcome (used when merging shard-local
-    /// overlay caches back into the shared cache).
-    pub fn insert(&mut self, fp: u128, outcome: Outcome) {
-        self.map.insert(fp, outcome);
-    }
-
-    /// Direct fingerprint lookup without solving (no hit/miss accounting).
-    pub fn peek(&self, fp: u128) -> Option<Outcome> {
-        self.map.get(&fp).copied()
-    }
-
-    /// A copy of the cached entries with fresh hit/miss accounting and no
-    /// backing store — what each shard of `engine::prove_batch` starts
-    /// from, so shards share warm entries without sharing a lock.
-    pub fn snapshot(&self) -> ProofCache {
-        ProofCache {
-            map: self.map.clone(),
-            store: None,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Folds another cache's entries and hit/miss counts into this one.
-    pub fn absorb(&mut self, other: &ProofCache) {
-        for (&fp, &outcome) in &other.map {
-            self.map.insert(fp, outcome);
-        }
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-
-    /// The cache's telemetry: `proglogic.solver.{cache_hit,cache_miss,
-    /// cache_entries}`.
-    pub fn counters(&self) -> obs::Counters {
-        let mut c = obs::Counters::new();
-        c.set("proglogic.solver.cache_hit", self.hits);
-        c.set("proglogic.solver.cache_miss", self.misses);
-        c.set("proglogic.solver.cache_entries", self.map.len() as u64);
-        c
-    }
-
-    /// Writes the proved entries to the backing store, atomically
-    /// (temp-file + rename — a reader or a kill never sees a torn file).
-    /// A no-op without a store path. Entries are sorted, so the file is a
-    /// deterministic function of the cache contents.
-    ///
-    /// # Errors
-    ///
-    /// The underlying I/O error, as a printable message.
-    pub fn save(&self) -> Result<(), String> {
-        let Some(path) = &self.store else {
-            return Ok(());
-        };
-        let mut proved: Vec<u128> = self
-            .map
-            .iter()
-            .filter(|(_, &o)| o == Outcome::Proved)
-            .map(|(&fp, _)| fp)
-            .collect();
-        proved.sort_unstable();
-        let doc = obs::json::Value::obj()
-            .field("schema", obs::json::Value::Str(CACHE_SCHEMA.into()))
-            .field(
-                "proved",
-                obs::json::Value::Arr(
-                    proved
-                        .into_iter()
-                        .map(|fp| obs::json::Value::Str(format!("{fp:032x}")))
-                        .collect(),
-                ),
-            );
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, format!("{}\n", doc.render()))
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,70 +574,5 @@ mod tests {
         let y = v(1, "y");
         assert_eq!(prove(&[], &Formula::ltu(&x, &y)), Outcome::Unknown);
         assert!(!contradictory(&[Formula::ltu(&x, &y)]));
-    }
-
-    #[test]
-    fn cache_hits_replay_outcomes() {
-        let x = v(0, "x");
-        let assms = vec![Formula::ltu(&x, &c(10))];
-        let goal = Formula::ltu(&x.add_const(1), &c(20));
-        let mut cache = ProofCache::new();
-        let first = cache.prove(&assms, &goal);
-        assert_eq!(first, prove(&assms, &goal));
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = cache.prove(&assms, &goal);
-        assert_eq!(second, first);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-    }
-
-    #[test]
-    fn prove_and_feasibility_keys_never_collide() {
-        let x = v(0, "x");
-        let assms = vec![Formula::ltu(&x, &c(10))];
-        // Same assumption list, different query kinds.
-        let g = Formula::truth();
-        assert_ne!(
-            obligation_fingerprint(&assms, &g),
-            feasibility_fingerprint(&assms)
-        );
-    }
-
-    #[test]
-    fn fingerprints_are_order_sensitive() {
-        let x = v(0, "x");
-        let a = Formula::ltu(&x, &c(10));
-        let b = Formula::leu(&c(3), &x);
-        let g = Formula::ltu(&x, &c(11));
-        assert_ne!(
-            obligation_fingerprint(&[a.clone(), b.clone()], &g),
-            obligation_fingerprint(&[b, a], &g)
-        );
-    }
-
-    #[test]
-    fn persistent_store_round_trips_proved_entries() {
-        let dir = std::env::temp_dir().join(format!("proglogic-cache-test-{}", std::process::id()));
-        let path = dir.join("store.json");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let x = v(0, "x");
-        let assms = vec![Formula::ltu(&x, &c(10))];
-        let proved_goal = Formula::ltu(&x, &c(20));
-        let unknown_goal = Formula::ltu(&x.add_const(100), &c(20));
-
-        let mut cache = ProofCache::with_store(&path).expect("fresh store path must open");
-        assert_eq!(cache.prove(&assms, &proved_goal), Outcome::Proved);
-        assert_eq!(cache.prove(&assms, &unknown_goal), Outcome::Unknown);
-        cache.save().expect("save to temp dir");
-
-        let mut reloaded = ProofCache::with_store(&path).expect("reload saved store");
-        // Proved came back; Unknown deliberately did not.
-        assert_eq!(reloaded.len(), 1);
-        assert_eq!(reloaded.prove(&assms, &proved_goal), Outcome::Proved);
-        assert_eq!((reloaded.hits(), reloaded.misses()), (1, 0));
-        assert_eq!(reloaded.prove(&assms, &unknown_goal), Outcome::Unknown);
-        assert_eq!((reloaded.hits(), reloaded.misses()), (1, 1));
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

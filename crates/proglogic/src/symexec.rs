@@ -23,13 +23,12 @@
 //! base, word-granular symbolic contents, with address resolution by
 //! `base + constant-offset` decomposition.
 
-use crate::engine::{self, Obligation};
 use crate::formula::Formula;
-use crate::solver::{self, Outcome, ProofCache};
+use crate::solver::{self, Outcome};
 use crate::term::Term;
 use bedrock2::ast::{Expr, Program, Size, Stmt};
 use obs::Counters;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -420,15 +419,6 @@ pub struct SymExec<'p, E> {
     call_depth_limit: usize,
     solver_queries: Cell<u64>,
     solver_nanos: Cell<u64>,
-    /// Obligation cache shared by proof and feasibility queries; see
-    /// [`SymExec::set_cache`].
-    cache: RefCell<Option<ProofCache>>,
-    /// When `Some`, [`SymExec::discharge`]/`prove_mem` collect obligations
-    /// here instead of proving eagerly (the deferred-batch mode behind
-    /// [`SymExec::check_function_parallel`]). The `bool` marks obligations
-    /// that count toward [`VcReport::obligations`], matching the eager
-    /// accounting exactly.
-    deferred: RefCell<Option<Vec<(Obligation, bool)>>>,
 }
 
 /// Statistics from a successful verification, exported as `proglogic.*`
@@ -445,12 +435,6 @@ pub struct VcReport {
     pub solver_queries: u64,
     /// Total solver wall time, in microseconds.
     pub solver_micros: u64,
-    /// Queries answered from the obligation cache (0 without a cache).
-    pub cache_hits: u64,
-    /// Queries actually solved when a cache was in use (0 without one).
-    pub cache_misses: u64,
-    /// Shards the deferred obligation batch ran on (0 in eager mode).
-    pub shards: u64,
 }
 
 impl VcReport {
@@ -462,10 +446,7 @@ impl VcReport {
         c.set("proglogic.symexec.branches", self.branches);
         c.set("proglogic.solver.queries", self.solver_queries);
         c.set("proglogic.solver.micros", self.solver_micros);
-        c.set("proglogic.solver.cache_hit", self.cache_hits);
-        c.set("proglogic.solver.cache_miss", self.cache_misses);
         c.set("proglogic.solver.proved", self.obligations as u64);
-        c.set("proglogic.solver.shards", self.shards);
         c
     }
 }
@@ -482,46 +463,23 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
             call_depth_limit: 8,
             solver_queries: Cell::new(0),
             solver_nanos: Cell::new(0),
-            cache: RefCell::new(None),
-            deferred: RefCell::new(None),
         }
     }
 
-    /// Installs an obligation cache. Every subsequent proof and
-    /// feasibility query goes through it, so re-checking an unchanged
-    /// function becomes a stream of cache hits (the warm-cache CI path).
-    pub fn set_cache(&mut self, cache: ProofCache) {
-        *self.cache.borrow_mut() = Some(cache);
-    }
-
-    /// Removes and returns the installed cache (e.g. to [`ProofCache::save`]
-    /// it after a run).
-    pub fn take_cache(&mut self) -> Option<ProofCache> {
-        self.cache.borrow_mut().take()
-    }
-
-    /// Calls [`solver::prove`] (through the cache when one is installed),
-    /// accounting the query and its wall time.
+    /// Calls [`solver::prove`], accounting the query and its wall time.
     fn solve(&self, assumptions: &[Formula], goal: &Formula) -> Outcome {
         let t = Instant::now();
-        let out = match self.cache.borrow_mut().as_mut() {
-            Some(cache) => cache.prove(assumptions, goal),
-            None => solver::prove(assumptions, goal),
-        };
+        let out = solver::prove(assumptions, goal);
         self.solver_nanos
             .set(self.solver_nanos.get() + t.elapsed().as_nanos() as u64);
         self.solver_queries.set(self.solver_queries.get() + 1);
         out
     }
 
-    /// Calls [`solver::contradictory`] (through the cache when one is
-    /// installed), accounting the query and its time.
+    /// Calls [`solver::contradictory`], accounting the query and its time.
     fn infeasible(&self, path: &[Formula]) -> bool {
         let t = Instant::now();
-        let out = match self.cache.borrow_mut().as_mut() {
-            Some(cache) => cache.contradictory(path),
-            None => solver::contradictory(path),
-        };
+        let out = solver::contradictory(path);
         self.solver_nanos
             .set(self.solver_nanos.get() + t.elapsed().as_nanos() as u64);
         self.solver_queries.set(self.solver_queries.get() + 1);
@@ -560,7 +518,6 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         }
         self.solver_queries.set(0);
         self.solver_nanos.set(0);
-        let (hits0, misses0) = self.cache_traffic();
         let mut report = VcReport::default();
         let finals = self.exec(&f.body, vec![st], &loop_ids, 0, &mut report)?;
         for st in finals {
@@ -581,63 +538,7 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         }
         report.solver_queries = self.solver_queries.get();
         report.solver_micros = self.solver_nanos.get() / 1_000;
-        let (hits1, misses1) = self.cache_traffic();
-        report.cache_hits = hits1 - hits0;
-        report.cache_misses = misses1 - misses0;
         Ok(report)
-    }
-
-    /// Verifies `name` like [`SymExec::check_function`], but defers every
-    /// proof obligation and discharges the whole batch at the end on
-    /// `shards` threads via [`engine::prove_batch`] — the parallel cold
-    /// path. Feasibility checks stay inline (they steer path pruning);
-    /// deferring obligations is sound because their outcomes never steer
-    /// execution. On failure the reported error is the *first* failing
-    /// obligation in exploration order, matching the eager mode.
-    ///
-    /// # Errors
-    ///
-    /// The first [`VcError`] encountered, as in eager mode.
-    pub fn check_function_parallel(
-        &self,
-        name: &str,
-        setup: impl FnOnce(&mut SymState) -> Vec<Term>,
-        post: impl Fn(&SymState, &[Term]) -> Vec<Formula>,
-        shards: usize,
-    ) -> Result<VcReport, VcError> {
-        *self.deferred.borrow_mut() = Some(Vec::new());
-        let explored = self.check_function(name, setup, post);
-        let batch = self
-            .deferred
-            .borrow_mut()
-            .take()
-            .expect("deferred batch installed above and only taken here");
-        let mut report = explored?;
-        let (obligations, counted): (Vec<Obligation>, Vec<bool>) = batch.into_iter().unzip();
-        let t = Instant::now();
-        let batch_report =
-            engine::prove_batch(&obligations, shards, self.cache.borrow_mut().as_mut());
-        report.solver_micros += t.elapsed().as_micros() as u64;
-        report.solver_queries += obligations.len() as u64;
-        if let Some(i) = batch_report.first_failure() {
-            return Err(VcError::ProofFailed {
-                goal: format!("{:?}", obligations[i].goal),
-                context: obligations[i].context.clone(),
-            });
-        }
-        report.obligations += counted.iter().filter(|&&c| c).count();
-        report.cache_hits += batch_report.cache_hits;
-        report.cache_misses += batch_report.cache_misses;
-        report.shards = batch_report.shards as u64;
-        Ok(report)
-    }
-
-    /// Current cumulative cache hit/miss counts (zeros without a cache).
-    fn cache_traffic(&self) -> (u64, u64) {
-        match self.cache.borrow().as_ref() {
-            Some(c) => (c.hits(), c.misses()),
-            None => (0, 0),
-        }
     }
 
     fn discharge(
@@ -647,9 +548,6 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         context: &str,
         report: &mut VcReport,
     ) -> Result<(), VcError> {
-        if self.defer(st, goal, context, true) {
-            return Ok(());
-        }
         match self.solve(&st.path, goal) {
             Outcome::Proved => {
                 report.obligations += 1;
@@ -664,9 +562,6 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
 
     /// Proves a memory-safety obligation under the state's path condition.
     fn prove_mem(&self, st: &SymState, goal: &Formula, context: &str) -> Result<(), VcError> {
-        if self.defer(st, goal, context, false) {
-            return Ok(());
-        }
         match self.solve(&st.path, goal) {
             Outcome::Proved => Ok(()),
             Outcome::Unknown => Err(VcError::ProofFailed {
@@ -674,25 +569,6 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
                 context: context.to_string(),
             }),
         }
-    }
-
-    /// In deferred-batch mode, queues the obligation and reports `true`
-    /// (the caller then skips the eager solve). `counted` mirrors whether
-    /// the eager path would increment [`VcReport::obligations`].
-    fn defer(&self, st: &SymState, goal: &Formula, context: &str, counted: bool) -> bool {
-        let mut deferred = self.deferred.borrow_mut();
-        let Some(batch) = deferred.as_mut() else {
-            return false;
-        };
-        batch.push((
-            Obligation {
-                context: context.to_string(),
-                assumptions: st.path.clone(),
-                goal: goal.clone(),
-            },
-            counted,
-        ));
-        true
     }
 
     /// A load through either the constant-offset fast path or the

@@ -18,14 +18,13 @@
 //!   path, with a fingerprint-guarded structural fallback for terms that
 //!   crossed threads or collided in the interner);
 //! * `Hash` is O(1) — it feeds the cached fingerprint, never the tree —
-//!   which makes the solver's fact maps and the obligation cache cheap;
-//! * terms are `Send + Sync` (`Arc`-based), so obligation batches can be
-//!   sharded across `std::thread::scope` workers.
+//!   which makes the solver's fact maps cheap;
+//! * terms are `Send + Sync` (`Arc`-based), so a term built on one thread
+//!   can be moved to and compared on another.
 //!
 //! The fallback keeps equality *sound* in the presence of fingerprint
 //! collisions: a collision can only cost a missed interning, never a wrong
-//! `==`. The obligation cache additionally relies on 128-bit fingerprints
-//! being collision-free in practice; see `solver::ProofCache`.
+//! `==`.
 
 use bedrock2::ast::BinOp;
 use obs::fx;
@@ -51,9 +50,8 @@ enum Node {
 }
 
 struct Inner {
-    /// Structural fingerprint, fixed at construction. Part of the
-    /// persistent `verif-cache/v1` key derivation — the mixing scheme in
-    /// [`obs::fx`] must stay stable across releases.
+    /// Structural fingerprint, fixed at construction: the interner key
+    /// and the `Hash` value.
     fp: u128,
     node: Node,
 }
@@ -64,8 +62,8 @@ pub struct Term {
     inner: Arc<Inner>,
 }
 
-/// Fingerprint seed (π digits) — any fixed odd-ish constant works; it only
-/// has to be the same in every process that shares a persistent cache.
+/// Fingerprint seed (π digits) — any fixed nonzero constant works (see
+/// `obs::fx` for why it must not be zero).
 const SEED: u128 = 0x243F_6A88_85A3_08D3_1319_8A2E_0370_7344;
 
 const TAG_CONST: u64 = 0xC0;

@@ -57,7 +57,54 @@ def fault_sweep():
     ])
 
 
-TABLES = {"spec_throughput": spec_throughput, "fault_sweep": fault_sweep}
+def table4():
+    rows = json.loads((ROOT / "BENCH_table4.json").read_text())["data"]["rows"]
+    lines = [
+        "<!-- generated from BENCH_table4.json by scripts/experiments_tables.py -->",
+        "",
+        "| layer | implementation | checking (tests) | overhead |",
+        "|---|---:|---:|---:|",
+    ]
+    for r in rows:
+        lines.append(f"| {r['layer']} | {r['implementation']} | {r['checking (tests)']} "
+                     f"| {r['overhead']} |")
+    return "\n".join(lines)
+
+
+def verif_perf():
+    checks = json.loads((ROOT / "BENCH_verif_perf.json").read_text())["data"]["checks"]
+    lines = [
+        "<!-- generated from BENCH_verif_perf.json by scripts/experiments_tables.py -->",
+        "",
+        "| check | wall clock | work |",
+        "|---|---:|---|",
+    ]
+    for c in checks:
+        lines.append(f"| {c['check']} | {c['seconds']:.3f} s | {c['work']} |")
+    return "\n".join(lines)
+
+
+def driver_proofs():
+    d = json.loads((ROOT / "BENCH_verif_perf.json").read_text())["data"]["driver_proofs"]
+    lines = [
+        "<!-- generated from BENCH_verif_perf.json by scripts/experiments_tables.py -->",
+        "",
+        "| proof | obligations | paths | solver queries | wall clock |",
+        "|---|---:|---:|---:|---:|",
+    ]
+    for name, r in [(p["function"], p) for p in d["proofs"]] + [("total", d)]:
+        lines.append(f"| {name} | {r['obligations']} | {r['paths']} | {r['solver_queries']} "
+                     f"| {1e3 * r['seconds']:.2f} ms |")
+    return "\n".join(lines)
+
+
+TABLES = {
+    "spec_throughput": spec_throughput,
+    "fault_sweep": fault_sweep,
+    "table4": table4,
+    "verif_perf": verif_perf,
+    "driver_proofs": driver_proofs,
+}
 
 
 def main():
