@@ -5,7 +5,7 @@
 //! harness's own speed so regressions in the simulators show up.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lightbulb_system::integration::{ProcessorKind, SystemConfig};
+use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
 use lightbulb_system::lightbulb::DriverOptions;
 
 fn bench_latency(c: &mut Criterion) {
@@ -23,10 +23,14 @@ fn bench_latency(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_to_actuation");
     g.sample_size(10);
     g.bench_function("verified_config", |b| {
-        b.iter(|| bench::packet_to_actuation_latency(&verified, 42).cycles())
+        b.iter(|| {
+            bench::packet_to_actuation_latency(&verified, &build_image(&verified), 42).cycles()
+        })
     });
     g.bench_function("prototype_analogue", |b| {
-        b.iter(|| bench::packet_to_actuation_latency(&prototype, 42).cycles())
+        b.iter(|| {
+            bench::packet_to_actuation_latency(&prototype, &build_image(&prototype), 42).cycles()
+        })
     });
     g.finish();
 }

@@ -58,7 +58,7 @@ fn bench_simulators(c: &mut Criterion) {
                 m
             },
             |mut m| {
-                let _ = m.run(CYCLES);
+                let _ = m.run_block(CYCLES);
                 m.instret
             },
             BatchSize::SmallInput,

@@ -216,14 +216,9 @@ fn main() -> ExitCode {
     let resume = match &resume_path {
         Some(path) => match SweepCheckpoint::load(path) {
             Ok(cp) => {
-                // Validate against the geometry the engine will derive, so
-                // a wrong --seeds/--shards refuses cleanly here instead of
-                // panicking inside the sweep.
-                let n = seeds;
-                let sh = (shards.max(1) as u64).min(n.max(1));
-                let chunk = n.div_ceil(sh);
-                let used = if n == 0 { 1 } else { n.div_ceil(chunk) };
-                if let Err(e) = cp.validate(0, n, used as usize, chunk, Some("fault_sweep")) {
+                // Validate here, so a wrong --seeds/--shards refuses
+                // cleanly instead of panicking inside the sweep.
+                if let Err(e) = cp.validate(0..seeds, shards, Some("fault_sweep")) {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }

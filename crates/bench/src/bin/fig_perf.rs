@@ -14,9 +14,14 @@
 //! *shape*: every factor ≥ 1 and a several-fold product.
 
 use bench::{emit_json, json_mode, packet_to_actuation_latency, render_table};
-use lightbulb_system::integration::{ProcessorKind, SystemConfig};
-use lightbulb_system::lightbulb::DriverOptions;
+use lightbulb_system::compiler::{compile, MmioExtCompiler};
+use lightbulb_system::devices::SpiConfig;
+use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
+use lightbulb_system::lightbulb::{lightbulb_program, DriverOptions};
 use obs::json::Value;
+
+/// The SPI wire speeds of the SPI-boundedness sweep.
+const SPI_CYCLES_PER_BYTE: [u32; 4] = [2, 8, 32, 128];
 
 fn main() {
     let verified = SystemConfig::default();
@@ -55,9 +60,39 @@ fn main() {
     let lat: Vec<u64> = configs
         .iter()
         .map(|(name, c)| {
-            let l = packet_to_actuation_latency(c, 1234).cycles();
+            let l = packet_to_actuation_latency(c, &build_image(c), 1234).cycles();
             eprintln!("  {name}: {l} cycles");
             l
+        })
+        .collect();
+
+    // Design-choice ablation: what does the register allocator buy? The
+    // paper implemented it as one of its few optimizations (§7.2); the
+    // spill-everything mode removes it.
+    eprintln!("\nmeasuring the register-allocation ablation…");
+    let mut spill_all = verified.compile_options();
+    spill_all.spill_everything = true;
+    let spill_image = compile(
+        &lightbulb_program(verified.driver),
+        &MmioExtCompiler,
+        &spill_all,
+    )
+    .expect("spill-all image compiles");
+    let spill_latency = packet_to_actuation_latency(&verified, &spill_image, 1234).cycles();
+
+    // Second observation of §7.2.1: "the vast majority of the running time
+    // is spent transferring incoming packet data … over SPI". Sweep the
+    // SPI wire speed: if the system is SPI-bound, latency tracks it.
+    eprintln!("\nsweeping SPI wire speed (cycles per byte)…");
+    let spi_sweep: Vec<(u32, u64)> = SPI_CYCLES_PER_BYTE
+        .iter()
+        .map(|&cycles_per_byte| {
+            let cfg = SystemConfig {
+                spi: SpiConfig { cycles_per_byte },
+                ..verified
+            };
+            let l = packet_to_actuation_latency(&cfg, &build_image(&cfg), 99).cycles();
+            (cycles_per_byte, l)
         })
         .collect();
 
@@ -88,8 +123,6 @@ fn main() {
     ]);
 
     if json_mode() {
-        // The decomposition is the figure; the ablation and SPI sweep are
-        // narrative extras, skipped in the machine-readable record.
         let factors = Value::Arr(
             (0..4)
                 .map(|i| {
@@ -113,11 +146,30 @@ fn main() {
                 })
                 .collect(),
         );
+        let ablation = Value::obj()
+            .field("regalloc_cycles", Value::UInt(lat[0]))
+            .field("spill_all_cycles", Value::UInt(spill_latency))
+            .field("ratio", Value::Float(spill_latency as f64 / lat[0] as f64));
+        let sweep = Value::Arr(
+            spi_sweep
+                .iter()
+                .map(|&(cycles_per_byte, l)| {
+                    Value::obj()
+                        .field(
+                            "spi_cycles_per_byte",
+                            Value::UInt(u64::from(cycles_per_byte)),
+                        )
+                        .field("latency_cycles", Value::UInt(l))
+                })
+                .collect(),
+        );
         let data = Value::obj()
             .field("configs", grid)
             .field("factors", factors)
             .field("total_measured", Value::Float(product))
-            .field("total_paper", Value::Float(10.0));
+            .field("total_paper", Value::Float(10.0))
+            .field("regalloc_ablation", ablation)
+            .field("spi_sweep", sweep);
         emit_json("fig_perf", data);
         return;
     }
@@ -136,60 +188,6 @@ fn main() {
     println!("(absolute values are simulated cycles; the paper measured 5.5 ms vs");
     println!("0.55 ms on a 12 MHz FPGA and a 320 MHz-class FE310.)");
 
-    // Design-choice ablation: what does the register allocator buy? The
-    // paper implemented it as one of its few optimizations (§7.2); the
-    // spill-everything mode removes it.
-    eprintln!("\nmeasuring the register-allocation ablation…");
-    let spill_all = SystemConfig {
-        // spill_everything is a compile option, not a SystemConfig field;
-        // build manually below.
-        ..verified
-    };
-    let spill_latency = {
-        use bedrock2_compiler::{compile, CompileOptions, Entry, MmioExtCompiler};
-        use lightbulb_system::devices::{Board, SpiConfig, TrafficGen};
-        use lightbulb_system::processor::Pipelined;
-        let program = lightbulb_system::lightbulb::lightbulb_program(spill_all.driver);
-        let image = compile(
-            &program,
-            &MmioExtCompiler,
-            &CompileOptions {
-                stack_top: spill_all.ram_bytes,
-                stack_size: Some(spill_all.ram_bytes / 4),
-                entry: Entry::EventLoop {
-                    init: Some("lightbulb_init".to_string()),
-                    step: "lightbulb_loop".to_string(),
-                },
-                optimize: false,
-                spill_everything: true,
-            },
-        )
-        .expect("spill-all image compiles");
-        let mut cpu = Pipelined::new(
-            &image.bytes(),
-            spill_all.ram_bytes,
-            Board::new(SpiConfig::default()),
-            spill_all.pipeline,
-        );
-        cpu.run(400_000);
-        let mut gen = TrafficGen::new(1234);
-        cpu.mem.mmio.inject_frame(&gen.command(true));
-        let start = cpu.cycle;
-        let target = cpu.mem.trace.len();
-        let deadline = cpu.cycle + 40_000_000;
-        let mut actuated = None;
-        while cpu.cycle < deadline && actuated.is_none() {
-            cpu.step_cycle();
-            actuated = cpu.mem.trace[target..]
-                .iter()
-                .find(|e| {
-                    e.event.kind == riscv_spec::MmioEventKind::Store
-                        && e.event.addr == lightbulb_system::lightbulb::layout::GPIO_OUTPUT_VAL
-                })
-                .map(|e| e.cycle);
-        }
-        actuated.expect("spill-all system actuates") - start
-    };
     println!();
     println!(
         "register-allocation ablation: {} cycles with regalloc vs {} spilling \
@@ -199,20 +197,9 @@ fn main() {
         spill_latency as f64 / lat[0] as f64
     );
 
-    // Second observation of §7.2.1: "the vast majority of the running time
-    // is spent transferring incoming packet data … over SPI". Sweep the
-    // SPI wire speed: if the system is SPI-bound, latency tracks it.
-    eprintln!("\nsweeping SPI wire speed (cycles per byte)…");
     let mut rows = Vec::new();
     let mut prev: Option<u64> = None;
-    for cpb in [2u32, 8, 32, 128] {
-        let cfg = SystemConfig {
-            spi: lightbulb_system::devices::SpiConfig {
-                cycles_per_byte: cpb,
-            },
-            ..verified
-        };
-        let l = packet_to_actuation_latency(&cfg, 99).cycles();
+    for &(cpb, l) in &spi_sweep {
         let growth = prev.map_or("—".to_string(), |p| {
             format!("{:.2}×", l as f64 / p as f64)
         });

@@ -9,55 +9,17 @@
 //! lines (compare the paper's §7.3.2 discussion of accidental proof
 //! complexity).
 
-use bench::{count_dir, emit_json, json_mode, render_table, table_json, workspace_root, Loc};
+use bench::{
+    emit_json, json_mode, render_table, table4_counts, table_json, workspace_root, Loc,
+    TABLE4_LAYERS,
+};
 use obs::json::Value;
 
 fn main() {
-    let root = workspace_root();
-    let layers: &[(&str, &[&str], &str)] = &[
-        (
-            "lightbulb app+drivers",
-            &["crates/lightbulb/src"],
-            "paper: m=176 n=130 p=33 q=1443 → 10.1×",
-        ),
-        (
-            "program logic",
-            &["crates/proglogic/src"],
-            "paper: m=10044 n=208 p=552 q=1785 (impl incl. framework)",
-        ),
-        (
-            "compiler",
-            &["crates/compiler/src"],
-            "paper: m=1907+931 n=1114 p=1325 q=6654 → 10.8×",
-        ),
-        (
-            "SW/HW interface (ISA+cores)",
-            &[
-                "crates/riscv/src",
-                "crates/kami/src",
-                "crates/processor/src",
-            ],
-            "paper: m=354 n=2053 p=991 q=3804",
-        ),
-        (
-            "end-to-end (integration)",
-            &["crates/core/src"],
-            "paper: m=48294(excluded libs) n=254 p=74 q=539",
-        ),
-        (
-            "devices & workloads",
-            &["crates/devices/src"],
-            "paper: physical hardware (not code)",
-        ),
-    ];
-
+    let (layers, ws_tests) = table4_counts(&workspace_root());
     let mut rows = Vec::new();
     let mut grand = Loc::default();
-    for (name, dirs, paper) in layers {
-        let mut loc = Loc::default();
-        for d in *dirs {
-            loc += count_dir(&root.join(d));
-        }
+    for ((name, _, paper), loc) in TABLE4_LAYERS.iter().zip(layers) {
         grand += loc;
         let ratio = (loc.code + loc.tests) as f64 / loc.code.max(1) as f64;
         rows.push(vec![
@@ -70,7 +32,6 @@ fn main() {
     }
     // Workspace-level integration tests count toward the end-to-end row in
     // spirit; report them separately for honesty.
-    let ws_tests = count_dir(&root.join("tests"));
     rows.push(vec![
         "workspace tests/".to_string(),
         "0".to_string(),

@@ -19,9 +19,10 @@
 //! Criterion benches (`cargo bench`) measure the wall-clock performance of
 //! the simulators and checkers themselves.
 
-use lightbulb_system::devices::{Board, TrafficGen};
-use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
-use lightbulb_system::processor::{Pipelined, SingleCycle};
+use lightbulb_system::compiler::CompiledProgram;
+use lightbulb_system::devices::{FaultPlan, TrafficGen};
+use lightbulb_system::integration::SystemConfig;
+use lightbulb_system::lightbulb::layout::GPIO_OUTPUT_VAL;
 use obs::json::Value;
 use riscv_spec::MmioEventKind;
 use std::fmt::Write as _;
@@ -215,74 +216,103 @@ const WARMUP_CYCLES: u64 = 400_000;
 const ACTUATION_BUDGET: u64 = 10_000_000;
 
 /// Measures packet→actuation latency in simulated cycles for one system
-/// configuration (the measurement behind `fig_perf`).
+/// configuration running `image` (the measurement behind `fig_perf`): a
+/// fixed warm-up boots the system into its polling loop, one "on" command
+/// is handed to the network chip, and the model then runs a cycle at a
+/// time until the GPIO write.
 ///
 /// # Panics
 ///
 /// Panics if the system fails to boot or actuate within generous budgets —
 /// that would be a workspace bug, not a measurement.
-pub fn packet_to_actuation_latency(config: &SystemConfig, seed: u64) -> LatencyReport {
-    let image = build_image(config);
-    let board = Board::new(config.spi);
-    let mut gen = TrafficGen::new(seed);
-    let frame = gen.command(true);
-
-    match config.processor {
-        ProcessorKind::Pipelined => {
-            let mut cpu = Pipelined::new(&image.bytes(), config.ram_bytes, board, config.pipeline);
-            // Boot and settle into the polling loop: run until the trace has
-            // stopped growing structurally (boot done) — detectable as "no
-            // new events for a while" is fragile; instead run a fixed warm-up
-            // and require at least one poll to have happened.
-            cpu.run(WARMUP_CYCLES);
-            assert!(!cpu.mem.trace.is_empty(), "boot must produce I/O");
-            let injected_at = cpu.cycle;
-            cpu.mem.mmio.inject_frame(&frame);
-            let target = cpu.mem.trace.len();
-            let mut actuated_at = None;
-            let deadline = cpu.cycle + ACTUATION_BUDGET;
-            while cpu.cycle < deadline {
-                cpu.step_cycle();
-                if let Some(ev) = cpu.mem.trace[target..].iter().find(|e| {
-                    e.event.kind == MmioEventKind::Store
-                        && e.event.addr == lightbulb_system::lightbulb::layout::GPIO_OUTPUT_VAL
-                }) {
-                    actuated_at = Some(ev.cycle);
-                    break;
-                }
-            }
-            LatencyReport {
+pub fn packet_to_actuation_latency(
+    config: &SystemConfig,
+    image: &CompiledProgram,
+    seed: u64,
+) -> LatencyReport {
+    let mut run = config.start(image, &FaultPlan::none(), &[], None);
+    let model = run.model();
+    model.run_to(WARMUP_CYCLES);
+    let mut seen = model.events_since(0).len();
+    assert!(seen > 0, "boot must produce I/O");
+    let injected_at = model.cycles();
+    model
+        .device_mut()
+        .inject_frame(&TrafficGen::new(seed).command(true));
+    while model.cycles() < injected_at + ACTUATION_BUDGET && !model.halted() {
+        // Events are stamped with the cycle that performs them: the one
+        // this step starts at.
+        let cycle = model.cycles();
+        model.run_to(cycle + 1);
+        let new = model.events_since(seen);
+        seen += new.len();
+        if new
+            .iter()
+            .any(|e| e.kind == MmioEventKind::Store && e.addr == GPIO_OUTPUT_VAL)
+        {
+            return LatencyReport {
                 injected_at,
-                actuated_at: actuated_at.expect("system must actuate within budget"),
-            }
-        }
-        ProcessorKind::SingleCycle => {
-            let mut cpu = SingleCycle::new(&image.bytes(), config.ram_bytes, board);
-            cpu.run(WARMUP_CYCLES);
-            let injected_at = cpu.cycle;
-            cpu.mem.mmio.inject_frame(&frame);
-            let target = cpu.mem.trace.len();
-            let mut actuated_at = None;
-            let deadline = cpu.cycle + ACTUATION_BUDGET;
-            while cpu.cycle < deadline {
-                cpu.step();
-                if let Some(ev) = cpu.mem.trace[target..].iter().find(|e| {
-                    e.event.kind == MmioEventKind::Store
-                        && e.event.addr == lightbulb_system::lightbulb::layout::GPIO_OUTPUT_VAL
-                }) {
-                    actuated_at = Some(ev.cycle);
-                    break;
-                }
-            }
-            LatencyReport {
-                injected_at,
-                actuated_at: actuated_at.expect("system must actuate within budget"),
-            }
-        }
-        ProcessorKind::SpecMachine => {
-            unimplemented!("latency is measured on the hardware models")
+                actuated_at: cycle,
+            };
         }
     }
+    panic!("system must actuate within budget");
+}
+
+/// The layers of Table 4: name, source directories, and the paper's
+/// figures for the same layer.
+pub const TABLE4_LAYERS: &[(&str, &[&str], &str)] = &[
+    (
+        "lightbulb app+drivers",
+        &["crates/lightbulb/src"],
+        "paper: m=176 n=130 p=33 q=1443 → 10.1×",
+    ),
+    (
+        "program logic",
+        &["crates/proglogic/src"],
+        "paper: m=10044 n=208 p=552 q=1785 (impl incl. framework)",
+    ),
+    (
+        "compiler",
+        &["crates/compiler/src"],
+        "paper: m=1907+931 n=1114 p=1325 q=6654 → 10.8×",
+    ),
+    (
+        "SW/HW interface (ISA+cores)",
+        &[
+            "crates/riscv/src",
+            "crates/kami/src",
+            "crates/processor/src",
+        ],
+        "paper: m=354 n=2053 p=991 q=3804",
+    ),
+    (
+        "end-to-end (integration)",
+        &["crates/core/src"],
+        "paper: m=48294(excluded libs) n=254 p=74 q=539",
+    ),
+    (
+        "devices & workloads",
+        &["crates/devices/src"],
+        "paper: physical hardware (not code)",
+    ),
+];
+
+/// Table 4's counts over the tree at `root`: one [`Loc`] per
+/// [`TABLE4_LAYERS`] entry, then the workspace-level `tests/` directory
+/// (all of it checking code).
+pub fn table4_counts(root: &Path) -> (Vec<Loc>, Loc) {
+    let layers = TABLE4_LAYERS
+        .iter()
+        .map(|(_, dirs, _)| {
+            let mut loc = Loc::default();
+            for d in *dirs {
+                loc += count_dir(&root.join(d));
+            }
+            loc
+        })
+        .collect();
+    (layers, count_dir(&root.join("tests")))
 }
 
 #[cfg(test)]
@@ -311,6 +341,24 @@ mod tests {
         assert_eq!(doc.get("bench").unwrap().as_str(), Some("demo"));
         let rows = doc.get("data").unwrap().as_arr().unwrap();
         assert_eq!(rows[0].get("value").unwrap().as_str(), Some("17"));
+    }
+
+    #[test]
+    fn latency_is_measured_on_every_model() {
+        use lightbulb_system::integration::{build_image, ProcessorKind};
+        for processor in [
+            ProcessorKind::SpecMachine,
+            ProcessorKind::SingleCycle,
+            ProcessorKind::Pipelined,
+        ] {
+            let config = SystemConfig {
+                processor,
+                ..SystemConfig::default()
+            };
+            let l = packet_to_actuation_latency(&config, &build_image(&config), 1234);
+            assert_eq!(l.injected_at, WARMUP_CYCLES, "{processor:?}");
+            assert!(l.cycles() > 1000, "{processor:?}: {l:?}");
+        }
     }
 
     #[test]

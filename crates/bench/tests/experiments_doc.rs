@@ -260,3 +260,91 @@ fn driver_proofs_table_matches_its_record() {
         );
     }
 }
+
+#[test]
+fn fig_perf_figures_match_their_record() {
+    let (doc, data) = doc_and_record("fig_perf");
+    let configs = array(&data, "configs");
+    let factors = array(&data, "factors");
+    let rows = body_rows(&block(&doc, "fig_perf"));
+    assert_eq!(
+        rows.len(),
+        factors.len() + 1,
+        "one row per factor plus the product"
+    );
+    for (row, f) in rows.iter().zip(factors) {
+        let name = text(f, "factor");
+        assert!(row[0].starts_with(name), "row {:?} is not {name}", row[0]);
+        assert_quotes(leading_number(&row[1]), num(f, "paper"), name);
+        assert_quotes(leading_number(&row[2]), num(f, "measured"), name);
+        let cycles = numbers(&row[3]);
+        assert_eq!(cycles.len(), 2, "{name}: {:?}", row[3]);
+        assert_quotes(cycles[0], num(f, "cycles_before"), name);
+        assert_quotes(cycles[1], num(f, "cycles_after"), name);
+    }
+    let product = rows.last().expect("the product row");
+    assert_quotes(
+        leading_number(&product[2]),
+        num(&data, "total_measured"),
+        "product",
+    );
+    let ends = numbers(&product[3]);
+    let (first, last) = (&configs[0], configs.last().expect("configs"));
+    assert_eq!(ends.len(), 2, "product cycles: {:?}", product[3]);
+    assert_quotes(ends[0], num(first, "latency_cycles"), "product start");
+    assert_quotes(ends[1], num(last, "latency_cycles"), "product end");
+
+    let ablation = data.get("regalloc_ablation").expect("regalloc_ablation");
+    let quoted = numbers(&block(&doc, "fig_perf_regalloc"))
+        .into_iter()
+        .map(str::to_string)
+        .collect::<Vec<_>>();
+    assert_eq!(quoted.len(), 3, "spill-all, regalloc, ratio: {quoted:?}");
+    for (q, field) in quoted
+        .iter()
+        .zip(["spill_all_cycles", "regalloc_cycles", "ratio"])
+    {
+        assert_quotes(q, num(ablation, field), field);
+    }
+
+    let sweep = array(&data, "spi_sweep");
+    let rows = body_rows(&block(&doc, "fig_perf_spi"));
+    assert_eq!(rows.len(), sweep.len(), "one row per SPI wire speed");
+    for (row, rec) in rows.iter().zip(sweep) {
+        let speed = num(rec, "spi_cycles_per_byte");
+        assert_quotes(&row[0], speed, "SPI cycles/byte");
+        assert_quotes(
+            &row[1],
+            num(rec, "latency_cycles"),
+            &format!("latency at {speed}"),
+        );
+    }
+}
+
+#[test]
+fn table4_record_matches_live_count() {
+    let (_, data) = doc_and_record("table4");
+    let records = array(&data, "rows");
+    let (layers, ws_tests) = bench::table4_counts(&workspace_root());
+    let live = bench::TABLE4_LAYERS
+        .iter()
+        .zip(&layers)
+        .map(|((name, _, _), loc)| (*name, loc.code, loc.tests))
+        .chain([("workspace tests/", 0, ws_tests.code + ws_tests.tests)]);
+    for ((name, code, tests), rec) in live.zip(records) {
+        assert_eq!(text(rec, "layer"), name);
+        let stale = "BENCH_table4.json is stale: re-record it with \
+                     `cargo run --release -p bench --bin table4 -- --json > BENCH_table4.json`";
+        assert_eq!(
+            text(rec, "implementation"),
+            code.to_string(),
+            "{name}: {stale}"
+        );
+        assert_eq!(
+            text(rec, "checking (tests)"),
+            tests.to_string(),
+            "{name}: {stale}"
+        );
+    }
+    assert_eq!(records.len(), layers.len() + 2, "layers, tests/ and TOTAL");
+}

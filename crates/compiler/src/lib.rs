@@ -38,7 +38,7 @@
 //!
 //! let mut m = SpecMachine::new(Memory::with_size(0x1_0000), NoMmio);
 //! m.load_program(0, &image.words());
-//! m.run_until_ebreak(10_000).unwrap();
+//! m.run_block(10_000).unwrap();
 //! // The single return value is at stack_top - 4 by the calling convention.
 //! assert_eq!(m.mem.load_u32(image.stack_top - 4).unwrap(), 42);
 //! ```
@@ -161,7 +161,7 @@ mod tests {
         let image = compile(prog, &NoExtCompiler, opts).expect("compilation should succeed");
         let mut m = SpecMachine::new(Memory::with_size(0x1_0000), NoMmio);
         m.load_program(0, &image.words());
-        match m.run_until_ebreak(1_000_000) {
+        match m.run_block(1_000_000) {
             Ok(StepOutcome::Halted { .. }) => {}
             other => panic!(
                 "program did not halt cleanly: {other:?}\n{}",
@@ -356,7 +356,7 @@ mod tests {
         let image = compile(&p, &MmioExtCompiler, &CompileOptions::default()).unwrap();
         let mut m = SpecMachine::new(Memory::with_size(0x1_0000), Dev::default());
         m.load_program(0, &image.words());
-        m.run_until_ebreak(100_000).unwrap();
+        m.run_block(100_000).unwrap();
         assert_eq!(m.mem.load_u32(image.stack_top - 4).unwrap(), 42);
         assert_eq!(
             m.trace,
@@ -501,6 +501,6 @@ mod tests {
         .unwrap();
         let mut m = SpecMachine::new(Memory::with_size(0x1_0000), NoMmio);
         m.load_program(0, &image.words());
-        assert_eq!(m.run_until_ebreak(10_000).unwrap(), StepOutcome::OutOfFuel);
+        assert_eq!(m.run_block(10_000).unwrap(), StepOutcome::OutOfFuel);
     }
 }

@@ -79,22 +79,23 @@ impl SweepCheckpoint {
         self.shard_states.iter().map(|s| s.done).sum()
     }
 
-    /// Checks that this checkpoint belongs to the sweep described by the
-    /// arguments. Resuming under a different geometry would misattribute
-    /// cursors to the wrong seeds; a different tag means a different
-    /// workload entirely.
+    /// Checks that this checkpoint belongs to a sweep over `seeds` with
+    /// `shards` requested shards, split the way
+    /// [`crate::differential::resilient_sweep`] splits it. Resuming under a
+    /// different geometry would misattribute cursors to the wrong seeds; a
+    /// different tag means a different workload entirely.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first mismatch.
     pub fn validate(
         &self,
-        start: u64,
-        total: u64,
+        seeds: std::ops::Range<u64>,
         shards: usize,
-        chunk: u64,
         tag: Option<&str>,
     ) -> Result<(), String> {
+        let (start, total) = (seeds.start, seeds.end.saturating_sub(seeds.start));
+        let (shards, chunk) = crate::differential::sweep_geometry(&seeds, shards);
         if let Some(tag) = tag {
             if self.tag != tag {
                 return Err(format!(
@@ -466,12 +467,12 @@ mod tests {
     #[test]
     fn validate_refuses_mismatches() {
         let cp = SweepCheckpoint::fresh("fault_sweep", 0, 10, 2, 5);
-        assert!(cp.validate(0, 10, 2, 5, Some("fault_sweep")).is_ok());
-        assert!(cp.validate(0, 10, 2, 5, None).is_ok());
-        assert!(cp.validate(0, 10, 2, 5, Some("other")).is_err());
-        assert!(cp.validate(1, 10, 2, 5, Some("fault_sweep")).is_err());
-        assert!(cp.validate(0, 12, 2, 5, Some("fault_sweep")).is_err());
-        assert!(cp.validate(0, 10, 4, 5, Some("fault_sweep")).is_err());
+        assert!(cp.validate(0..10, 2, Some("fault_sweep")).is_ok());
+        assert!(cp.validate(0..10, 2, None).is_ok());
+        assert!(cp.validate(0..10, 2, Some("other")).is_err());
+        assert!(cp.validate(1..11, 2, Some("fault_sweep")).is_err());
+        assert!(cp.validate(0..12, 2, Some("fault_sweep")).is_err());
+        assert!(cp.validate(0..10, 4, Some("fault_sweep")).is_err());
     }
 
     #[test]

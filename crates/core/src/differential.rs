@@ -27,8 +27,7 @@ use devices::{Board, FaultPlan, FrameFault, TrafficGen};
 use lightbulb::{good_hl_trace, probe, MmioBridge};
 use obs::json::Value;
 use obs::Counters;
-use processor::refinement::ReplayHandler;
-use processor::{Divergence, SingleCycle};
+use processor::{replay_trace, Divergence};
 use proglogic::trace::{Monitor, TracePred};
 use riscv_spec::{Memory, MmioEvent, SpecMachine, StepOutcome};
 use std::fmt::Write as _;
@@ -187,7 +186,7 @@ pub fn run_compiled_with(
         .map_err(|e| DiffError::CompileError(e.to_string()))?;
     let mut m = SpecMachine::new(Memory::with_size(RAM), DebugDevice::new());
     m.load_program(0, &image.words());
-    match m.run_until_ebreak(MACHINE_FUEL) {
+    match m.run_block(MACHINE_FUEL) {
         Ok(StepOutcome::Halted { .. }) => Ok(m.trace),
         Ok(StepOutcome::OutOfFuel) => Err(DiffError::MachineTimeout),
         Err(e) => Err(DiffError::MachineError(e.to_string())),
@@ -297,7 +296,7 @@ pub fn check_isa_consistency(prog: &Program, optimize: bool) -> Result<(), DiffE
 
     let mut m = SpecMachine::new(Memory::with_size(RAM), DebugDevice::new());
     m.load_program(0, &image.words());
-    match m.run_until_ebreak(MACHINE_FUEL) {
+    match m.run_block(MACHINE_FUEL) {
         Ok(StepOutcome::Halted { .. }) => {}
         // Fuel exhaustion and UB are both outside the consistency
         // statement (§5.8): the run proves nothing about the cores.
@@ -364,49 +363,27 @@ pub enum SeedOutcome {
 
 /// How the sweep engine retries transiently-failing seeds
 /// ([`DiffError::is_transient`]): up to `attempts` tries per seed, the
-/// attempt index passed to the check so it can escalate its budget, with
-/// a bounded exponential backoff between tries.
+/// attempt index passed to the check so it can escalate its budget. Retries
+/// follow at once: the checks are deterministic, so waiting cannot change
+/// what a retry returns.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total attempts per seed (≥ 1; 1 means no retry).
     pub attempts: u32,
-    /// Backoff before the first retry, in milliseconds (doubles per
-    /// retry).
-    pub base_backoff_ms: u64,
-    /// Ceiling on any single backoff, in milliseconds — the schedule is
-    /// bounded by `attempts * backoff_cap_ms` total sleep.
-    pub backoff_cap_ms: u64,
 }
 
 impl Default for RetryPolicy {
     /// No retries: every error classifies immediately.
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        }
+        RetryPolicy { attempts: 1 }
     }
 }
 
 impl RetryPolicy {
     /// The fault-sweep default: three attempts (quick, escalated,
-    /// escalated-again budgets) with a short bounded backoff.
+    /// escalated-again budgets).
     pub fn escalating() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 2,
-            backoff_cap_ms: 20,
-        }
-    }
-
-    /// The sleep before retry number `retry` (1-based), capped.
-    fn backoff(&self, retry: u32) -> std::time::Duration {
-        let ms = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << (retry - 1).min(16))
-            .min(self.backoff_cap_ms);
-        std::time::Duration::from_millis(ms)
+        RetryPolicy { attempts: 3 }
     }
 }
 
@@ -638,18 +615,9 @@ where
     G: Fn(u64) -> Program + Sync,
     C: Fn(&Program) -> Result<(), DiffError> + Sync,
 {
-    sweep_seeds(seeds, shards, |seed, _| check(&generate(seed)))
-}
-
-/// The sharding engine behind the legacy sweeps: [`resilient_sweep`] with
-/// default options (no retry, no checkpointing) and the attempt index
-/// hidden from the check.
-fn sweep_seeds<C>(seeds: Range<u64>, shards: usize, check: C) -> SweepReport
-where
-    C: Fn(u64, &mut Counters) -> Result<(), DiffError> + Sync,
-{
-    resilient_sweep(seeds, shards, &SweepOptions::default(), |seed, _, c| {
-        check(seed, c)
+    // No retries and no checkpointing, as befits a smoke-test sweep.
+    resilient_sweep(seeds, shards, &SweepOptions::default(), |seed, _, _| {
+        check(&generate(seed))
     })
 }
 
@@ -704,14 +672,23 @@ where
                 }
                 counters.add("core.diff.retry_attempts", 1);
                 attempt += 1;
-                let backoff = retry.backoff(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
             }
             Ok(Err(error)) => return SeedOutcome::Failed { seed, error },
         }
     }
+}
+
+/// How [`resilient_sweep`] splits `seeds` over `shards` requested shards:
+/// `(shards used, seeds per shard)`. Seeds go out in contiguous chunks of
+/// equal size (the last may be short), so fewer shards than requested can
+/// end up used; an empty range uses one.
+pub(crate) fn sweep_geometry(seeds: &Range<u64>, shards: usize) -> (usize, u64) {
+    let n = seeds.end.saturating_sub(seeds.start);
+    if n == 0 {
+        return (1, 0);
+    }
+    let chunk = n.div_ceil(shards.max(1) as u64);
+    (n.div_ceil(chunk) as usize, chunk)
 }
 
 /// The crash-resilient sharding engine behind every sweep: runs `check`
@@ -743,21 +720,14 @@ where
 {
     use crate::checkpoint::{ShardProgress, SweepCheckpoint};
 
-    let start = seeds.start;
-    let all: Vec<u64> = seeds.collect();
-    let shards = shards.clamp(1, all.len().max(1));
-    let chunk = all.len().div_ceil(shards);
-    let shards_used = if all.is_empty() {
-        1
-    } else {
-        all.chunks(chunk).count()
-    };
-
     if let Some(cp) = &opts.resume {
         let tag = opts.checkpoint.as_ref().map(|c| c.tag.as_str());
-        cp.validate(start, all.len() as u64, shards_used, chunk as u64, tag)
+        cp.validate(seeds.clone(), shards, tag)
             .unwrap_or_else(|e| panic!("cannot resume this sweep from the checkpoint: {e}"));
     }
+    let start = seeds.start;
+    let (shards_used, chunk) = sweep_geometry(&seeds, shards);
+    let all: Vec<u64> = seeds.collect();
 
     // One live progress record per shard, shared with the checkpoint
     // writer. Writes go through a temp-file rename, so a kill at any
@@ -769,7 +739,7 @@ where
             start,
             all.len() as u64,
             shards_used,
-            chunk as u64,
+            chunk,
         ),
     });
     let written = std::sync::atomic::AtomicU64::new(0);
@@ -825,12 +795,12 @@ where
         state
     };
 
-    let results: Vec<ShardProgress> = if shards == 1 || all.is_empty() {
+    let results: Vec<ShardProgress> = if shards_used == 1 {
         vec![run_shard(0, &all)]
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = all
-                .chunks(chunk)
+                .chunks(chunk as usize)
                 .enumerate()
                 .map(|(i, c)| s.spawn(move || run_shard(i, c)))
                 .collect();
@@ -853,7 +823,7 @@ where
         total: all.len() as u64,
         shards: shards_used,
         start,
-        chunk: chunk as u64,
+        chunk,
         interrupted: done < all.len() as u64,
         checkpoint_path: opts
             .checkpoint
@@ -935,7 +905,7 @@ impl Default for FaultSweepConfig {
 ///    spec (faults are interaction-keyed, so the same plan is meaningful
 ///    on both models even though their tick rates differ);
 /// 3. the pipelined trace is **replayed** into the single-cycle spec core
-///    ([`ReplayHandler`]): under the same input nondeterminism the spec
+///    ([`replay_trace`]): under the same input nondeterminism the spec
 ///    core must produce the identical trace, so the faulted run still
 ///    refines the ISA.
 ///
@@ -1018,8 +988,26 @@ fn run_adaptive(
 }
 
 /// How [`check_runs`] runs one machine model on a plan.
-type ModelRunner =
+pub(crate) type ModelRunner =
     fn(&SystemConfig, &CompiledProgram, &FaultPlan, &[Vec<u8>], &FaultSweepConfig) -> LightbulbRun;
+
+/// Runs `plan` on the `kind` model with `run_on`, against the plan seed's
+/// traffic: `cfg.frames` commands, alternately on and off.
+pub(crate) fn run_model(
+    kind: ProcessorKind,
+    plan: &FaultPlan,
+    cfg: &FaultSweepConfig,
+    image: &CompiledProgram,
+    run_on: ModelRunner,
+) -> LightbulbRun {
+    let mut gen = TrafficGen::new(plan.seed);
+    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+    let sys = SystemConfig {
+        processor: kind,
+        ..cfg.system
+    };
+    run_on(&sys, image, plan, &frames, cfg)
+}
 
 /// Frames the plan drops never reach the chip; everything else must be
 /// delivered and consumed (status popped, pending queue empty) for a run
@@ -1047,17 +1035,8 @@ fn check_runs(
     counters: &mut Counters,
     run_on: ModelRunner,
 ) -> Result<(), DiffError> {
-    let seed = plan.seed;
-    let mut gen = TrafficGen::new(seed);
-    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
     let mut monitor = Monitor::new(spec);
-    let run_kind = |kind: ProcessorKind| {
-        let mut sys = cfg.system;
-        sys.processor = kind;
-        run_on(&sys, image, plan, &frames, cfg)
-    };
-
-    let pipe = run_kind(ProcessorKind::Pipelined);
+    let pipe = run_model(ProcessorKind::Pipelined, plan, cfg, image, run_on);
     let activity = probe::scan(&pipe.events);
     counters.add(
         "devices.faults.injected",
@@ -1073,10 +1052,11 @@ fn check_runs(
         });
     }
 
-    let sm = run_kind(ProcessorKind::SpecMachine);
+    let sm = run_model(ProcessorKind::SpecMachine, plan, cfg, image, run_on);
     if let Some(e) = sm.error {
         return Err(DiffError::MachineError(format!(
-            "spec machine under fault plan {seed}: {e}"
+            "spec machine under fault plan {}: {e}",
+            plan.seed
         )));
     }
     if let Some(matched) = monitor.first_violation(&sm.events) {
@@ -1104,57 +1084,30 @@ fn check_runs(
 
 /// Replays a recorded MMIO trace into the single-cycle spec core and
 /// requires it to reproduce the trace exactly (the §5.7 refinement
-/// statement, applied to a faulted run whose trace we already hold).
+/// statement, applied to a faulted run whose trace we already hold). The
+/// event loop never halts, so the replay ends once every event is consumed.
 fn replay_into_spec_core(
     image: &CompiledProgram,
     ram_bytes: u32,
     events: &[MmioEvent],
     max_cycles: u64,
 ) -> Result<(), DiffError> {
-    let replay = ReplayHandler::new(events.to_vec(), Board::claims);
-    let mut core = SingleCycle::new(&image.bytes(), ram_bytes, replay);
-    // The event loop never halts: run until the core has consumed every
-    // recorded event (running further would overrun the replay queue,
-    // which is not a divergence) or diverges. One instruction consumes at
-    // most one event, so an event-bounded block cannot overrun, and
-    // divergence is sticky inside `ReplayHandler`.
-    while !core.halted && core.cycle < max_cycles {
-        let remaining = events.len() - core.mem.mmio.consumed();
-        if remaining == 0 {
-            break;
-        }
-        let block = (max_cycles - core.cycle).min(1024).min(remaining as u64);
-        core.run_block(block);
-        if core.mem.mmio.divergence().is_some() {
-            break;
-        }
+    let bytes = image.bytes();
+    match replay_trace(&bytes, ram_bytes, events, Board::claims, false, max_cycles) {
+        Ok(_) => Ok(()),
+        Err(Divergence::TraceMismatch {
+            index,
+            implementation,
+            spec,
+        }) => Err(DiffError::TraceMismatch {
+            index,
+            source: implementation,
+            machine: Some(spec),
+        }),
+        Err(other) => Err(DiffError::MachineError(format!(
+            "replay divergence: {other:?}"
+        ))),
     }
-    if let Some(d) = core.mem.mmio.divergence() {
-        return match d {
-            Divergence::TraceMismatch {
-                index,
-                implementation,
-                spec,
-            } => Err(DiffError::TraceMismatch {
-                index: *index,
-                source: *implementation,
-                machine: Some(*spec),
-            }),
-            other => Err(DiffError::MachineError(format!(
-                "replay divergence: {other:?}"
-            ))),
-        };
-    }
-    let replayed = core.mem.events();
-    let n = replayed.len().min(events.len());
-    if let Some(i) = (0..n).find(|&i| replayed[i] != events[i]) {
-        return Err(DiffError::TraceMismatch {
-            index: i,
-            source: Some(events[i]),
-            machine: Some(replayed[i]),
-        });
-    }
-    Ok(())
 }
 
 /// Knobs for [`fault_sweep_with`] beyond the sweep itself.
@@ -1333,13 +1286,9 @@ mod tests {
         image: &CompiledProgram,
         kind: ProcessorKind,
     ) -> bool {
-        let mut gen = TrafficGen::new(plan.seed);
-        let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-        let sys = SystemConfig {
-            processor: kind,
-            ..cfg.system
-        };
-        let quick = sys.run_faulted(image, plan, &frames, cfg.quick_cycles);
+        let quick = run_model(kind, plan, cfg, image, |sys, image, plan, frames, cfg| {
+            sys.run_faulted(image, plan, frames, cfg.quick_cycles)
+        });
         !workload_done(&quick, plan, cfg)
     }
 
@@ -1406,6 +1355,58 @@ mod tests {
         );
         assert_eq!(ra, rb);
         assert_eq!(a, b);
+    }
+
+    /// Negative controls for the replay step of [`check_runs`]: a real
+    /// quick-pass pipelined trace (plan seed 4) replays clean, and each of
+    /// three single-event corruptions is caught at exactly its index.
+    #[test]
+    fn replay_catches_each_corrupted_event_at_its_index() {
+        use riscv_spec::MmioEventKind;
+        let cfg = FaultSweepConfig::default();
+        let image = build_image(&cfg.system);
+        let plan = FaultPlan::from_seed(4);
+        let pipelined = ProcessorKind::Pipelined;
+        let events = run_model(
+            pipelined,
+            &plan,
+            &cfg,
+            &image,
+            |sys, image, plan, frames, cfg| sys.run_faulted(image, plan, frames, cfg.quick_cycles),
+        )
+        .events;
+        let replay = |events: &[MmioEvent]| {
+            replay_into_spec_core(&image, cfg.system.ram_bytes, events, cfg.max_cycles)
+        };
+        assert_eq!(replay(&events), Ok(()));
+
+        // A store whose successor differs in kind or address, so deleting
+        // it shows at its own index, and a load; both mid-trace.
+        let site = |e: &MmioEvent| (e.kind, e.addr);
+        let store = (events.len() / 2..events.len() - 1)
+            .find(|&k| {
+                events[k].kind == MmioEventKind::Store && site(&events[k + 1]) != site(&events[k])
+            })
+            .expect("a store mid-trace");
+        let load = (events.len() / 2..events.len())
+            .find(|&k| events[k].kind == MmioEventKind::Load)
+            .expect("a load mid-trace");
+        let mut flipped = events.clone();
+        flipped[store].value ^= 1;
+        let mut moved = events.clone();
+        moved[load].addr ^= 4;
+        let mut deleted = events.clone();
+        deleted.remove(store);
+        for (what, bad, k) in [
+            ("store value flipped", flipped, store),
+            ("load address changed", moved, load),
+            ("event deleted", deleted, store),
+        ] {
+            match replay(&bad) {
+                Err(DiffError::TraceMismatch { index, .. }) => assert_eq!(index, k, "{what}"),
+                other => panic!("{what} at {k}: {other:?}"),
+            }
+        }
     }
 
     #[test]

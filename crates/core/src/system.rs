@@ -10,8 +10,8 @@
 use bedrock2_compiler::{compile, CompileOptions, CompiledProgram, Entry, MmioExtCompiler};
 use devices::{Board, FaultPlan, SpiConfig};
 use lightbulb::{lightbulb_program, DriverOptions};
-use obs::{Counters, Event, MemSink, Sink};
-use processor::{PipelineConfig, Pipelined, SingleCycle};
+use obs::{Counters, Event, MemSink};
+use processor::{Model, PipelineConfig, Pipelined, SingleCycle};
 use riscv_spec::{Memory, MmioEvent, SpecMachine};
 
 /// Which machine model executes the binary.
@@ -62,6 +62,24 @@ impl Default for SystemConfig {
     }
 }
 
+impl SystemConfig {
+    /// The layout of this configuration's boot image: the stack at the top
+    /// of RAM with a quarter of RAM for it, and the event-loop entry
+    /// (`lightbulb_init(); while(1) lightbulb_loop()`).
+    pub fn compile_options(&self) -> CompileOptions {
+        CompileOptions {
+            stack_top: self.ram_bytes,
+            stack_size: Some(self.ram_bytes / 4),
+            entry: Entry::EventLoop {
+                init: Some("lightbulb_init".to_string()),
+                step: "lightbulb_loop".to_string(),
+            },
+            optimize: self.optimize,
+            spill_everything: false,
+        }
+    }
+}
+
 /// Compiles the lightbulb program for this configuration.
 ///
 /// # Panics
@@ -70,17 +88,8 @@ impl Default for SystemConfig {
 /// workspace, so that is a bug, not an input error.
 pub fn build_image(config: &SystemConfig) -> CompiledProgram {
     let program = lightbulb_program(config.driver);
-    let opts = CompileOptions {
-        stack_top: config.ram_bytes,
-        stack_size: Some(config.ram_bytes / 4),
-        entry: Entry::EventLoop {
-            init: Some("lightbulb_init".to_string()),
-            step: "lightbulb_loop".to_string(),
-        },
-        optimize: config.optimize,
-        spill_everything: false,
-    };
-    compile(&program, &MmioExtCompiler, &opts).expect("lightbulb sources must compile")
+    compile(&program, &MmioExtCompiler, &config.compile_options())
+        .expect("lightbulb sources must compile")
 }
 
 /// Machine-readable telemetry of one system run, carried alongside the
@@ -137,7 +146,7 @@ impl SystemConfig {
     /// counters from every layer; its `trace_events` stay empty (use
     /// [`SystemConfig::run_traced`] for those).
     pub fn run(&self, frames: &[Vec<u8>], max_cycles: u64) -> LightbulbRun {
-        self.run_inner(frames, max_cycles, None)
+        self.run_faulted(&build_image(self), &FaultPlan::none(), frames, max_cycles)
     }
 
     /// Like [`SystemConfig::run`], but on the pipelined core the run also
@@ -147,7 +156,9 @@ impl SystemConfig {
     ///
     /// [`run`]: SystemConfig::run
     pub fn run_traced(&self, frames: &[Vec<u8>], max_cycles: u64) -> LightbulbRun {
-        self.run_inner(frames, max_cycles, Some(MemSink::default()))
+        let image = build_image(self);
+        self.start(&image, &FaultPlan::none(), frames, Some(MemSink::default()))
+            .run_to(max_cycles)
     }
 
     /// Like [`SystemConfig::run`], but on a prebuilt `image` and a board
@@ -161,35 +172,14 @@ impl SystemConfig {
         frames: &[Vec<u8>],
         max_cycles: u64,
     ) -> LightbulbRun {
-        self.run_built(image, plan, frames, max_cycles, None)
-    }
-
-    fn run_inner(
-        &self,
-        frames: &[Vec<u8>],
-        max_cycles: u64,
-        sink: Option<MemSink>,
-    ) -> LightbulbRun {
-        let image = build_image(self);
-        self.run_built(&image, &FaultPlan::none(), frames, max_cycles, sink)
-    }
-
-    fn run_built(
-        &self,
-        image: &CompiledProgram,
-        plan: &FaultPlan,
-        frames: &[Vec<u8>],
-        max_cycles: u64,
-        sink: Option<MemSink>,
-    ) -> LightbulbRun {
-        self.start(image, plan, frames, sink).run_to(max_cycles)
+        self.start(image, plan, frames, None).run_to(max_cycles)
     }
 
     /// Builds the system of [`SystemConfig::run_faulted`] (traced when
     /// `sink` is given) without running it. The returned [`SystemRun`]
     /// keeps its machine between [`SystemRun::run_to`] calls, so a run can
     /// be continued to a larger budget instead of restarted from reset.
-    pub(crate) fn start(
+    pub fn start(
         &self,
         image: &CompiledProgram,
         plan: &FaultPlan,
@@ -200,46 +190,31 @@ impl SystemConfig {
         for f in frames {
             board.inject_frame(f);
         }
-        let bytes = image.bytes();
-        let machine = match (self.processor, sink) {
-            (ProcessorKind::Pipelined, Some(sink)) => Machine::Traced(Box::new(
-                Pipelined::with_sink(&bytes, self.ram_bytes, board, self.pipeline, sink),
-            )),
-            (ProcessorKind::Pipelined, None) => Machine::Pipelined(Box::new(Pipelined::new(
-                &bytes,
-                self.ram_bytes,
-                board,
-                self.pipeline,
-            ))),
-            (ProcessorKind::SingleCycle, _) => {
-                Machine::SingleCycle(Box::new(SingleCycle::new(&bytes, self.ram_bytes, board)))
-            }
-            (ProcessorKind::SpecMachine, _) => {
-                let mut m = SpecMachine::new(Memory::with_size(self.ram_bytes), board);
+        let (bytes, ram, pipe) = (image.bytes(), self.ram_bytes, self.pipeline);
+        let model: Box<dyn Model<Board>> = match self.processor {
+            ProcessorKind::Pipelined => match sink {
+                Some(sink) => Box::new(Pipelined::with_sink(&bytes, ram, board, pipe, sink)),
+                None => Box::new(Pipelined::new(&bytes, ram, board, pipe)),
+            },
+            ProcessorKind::SingleCycle => Box::new(SingleCycle::new(&bytes, ram, board)),
+            ProcessorKind::SpecMachine => {
+                let mut m = SpecMachine::new(Memory::with_size(ram), board);
                 m.load_program(0, &image.words());
-                Machine::Spec(Box::new(m), None)
+                Box::new(m)
             }
         };
         SystemRun {
-            machine,
+            model,
             compiler: image.stats.counters(),
         }
     }
 }
 
-/// A built system whose machine keeps its state between runs.
-pub(crate) struct SystemRun {
-    machine: Machine,
+/// A built system whose machine model keeps its state between runs.
+pub struct SystemRun {
+    model: Box<dyn Model<Board>>,
     /// The image's compile counters, the base of every report.
     compiler: Counters,
-}
-
-enum Machine {
-    Pipelined(Box<Pipelined<Board>>),
-    Traced(Box<Pipelined<Board, MemSink>>),
-    SingleCycle(Box<SingleCycle<Board>>),
-    /// The spec machine and the error that stopped it, if any.
-    Spec(Box<SpecMachine<Board>>, Option<String>),
 }
 
 impl SystemRun {
@@ -248,70 +223,30 @@ impl SystemRun {
     /// so far. Runs are deterministic, so a run continued to `max_cycles`
     /// equals one started with that budget. A machine that halted or hit
     /// an error does not run again.
-    pub(crate) fn run_to(&mut self, max_cycles: u64) -> LightbulbRun {
-        let mut report = RunReport {
-            counters: self.compiler.clone(),
-            ..RunReport::default()
-        };
-        match &mut self.machine {
-            Machine::Pipelined(cpu) => {
-                cpu.run(max_cycles.saturating_sub(cpu.cycle));
-                pipelined_run(cpu, report)
-            }
-            Machine::Traced(cpu) => {
-                cpu.run(max_cycles.saturating_sub(cpu.cycle));
-                report.trace_events = cpu.sink.events.clone();
-                pipelined_run(cpu, report)
-            }
-            Machine::SingleCycle(cpu) => {
-                cpu.run(max_cycles.saturating_sub(cpu.cycle));
-                report.counters.merge(&cpu.mem.mmio.counters());
-                report.counters.set("pipeline.cycles", cpu.cycle);
-                report.counters.set("pipeline.retired", cpu.retired);
-                report.final_pc = cpu.pc;
-                LightbulbRun {
-                    events: cpu.mem.events(),
-                    bulb_history: cpu.mem.mmio.gpio.lightbulb_history(),
-                    bulb_on: cpu.mem.mmio.lightbulb_on(),
-                    cycles: cpu.cycle,
-                    error: None,
-                    report,
-                }
-            }
-            Machine::Spec(m, error) => {
-                if error.is_none() {
-                    *error = m
-                        .run(max_cycles.saturating_sub(m.instret))
-                        .err()
-                        .map(|e| e.to_string());
-                }
-                report.counters.merge(&m.stats.counters());
-                report.counters.merge(&m.mmio.counters());
-                report.final_pc = m.pc;
-                LightbulbRun {
-                    events: m.trace.clone(),
-                    bulb_history: m.mmio.gpio.lightbulb_history(),
-                    bulb_on: m.mmio.lightbulb_on(),
-                    cycles: m.instret,
-                    error: error.clone(),
-                    report,
-                }
-            }
+    pub fn run_to(&mut self, max_cycles: u64) -> LightbulbRun {
+        let m = &mut *self.model;
+        m.run_to(max_cycles);
+        let board = m.device();
+        let mut counters = self.compiler.clone();
+        counters.merge(&m.counters());
+        counters.merge(&board.counters());
+        LightbulbRun {
+            events: m.events_since(0),
+            bulb_history: board.gpio.lightbulb_history(),
+            bulb_on: board.lightbulb_on(),
+            cycles: m.cycles(),
+            error: m.error(),
+            report: RunReport {
+                counters,
+                final_pc: m.pc(),
+                trace_events: m.trace_events().to_vec(),
+            },
         }
     }
-}
 
-fn pipelined_run<S: Sink>(cpu: &Pipelined<Board, S>, mut report: RunReport) -> LightbulbRun {
-    report.counters.merge(&cpu.counters());
-    report.counters.merge(&cpu.mem.mmio.counters());
-    report.final_pc = cpu.fetch_pc();
-    LightbulbRun {
-        events: cpu.mem.events(),
-        bulb_history: cpu.mem.mmio.gpio.lightbulb_history(),
-        bulb_on: cpu.mem.mmio.lightbulb_on(),
-        cycles: cpu.cycle,
-        error: None,
-        report,
+    /// The machine model, for drivers that step it themselves.
+    pub fn model(&mut self) -> &mut dyn Model<Board> {
+        &mut *self.model
     }
 }
 

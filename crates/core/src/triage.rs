@@ -26,10 +26,10 @@
 //! writes to disk.
 
 use crate::checkpoint::{error_to_json, event_to_json};
-use crate::differential::{fault_check_against, DiffError, FaultSweepConfig};
+use crate::differential::{fault_check_against, run_model, DiffError, FaultSweepConfig};
 use crate::system::ProcessorKind;
 use bedrock2_compiler::CompiledProgram;
-use devices::{FaultPlan, TrafficGen};
+use devices::FaultPlan;
 use lightbulb::good_hl_trace;
 use obs::json::Value;
 use obs::Counters;
@@ -264,14 +264,12 @@ fn locate_divergence(
     image: &CompiledProgram,
     spec: &TracePred,
 ) -> DivergenceSite {
-    let seed = plan.seed;
-    let mut gen = TrafficGen::new(seed);
-    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
     let run = |kind: ProcessorKind| {
-        let mut sys = cfg.system;
-        sys.processor = kind;
         catch_unwind(AssertUnwindSafe(|| {
-            sys.run_faulted(image, plan, &frames, cfg.max_cycles).events
+            run_model(kind, plan, cfg, image, |sys, image, plan, frames, cfg| {
+                sys.run_faulted(image, plan, frames, cfg.max_cycles)
+            })
+            .events
         }))
         .unwrap_or_default()
     };

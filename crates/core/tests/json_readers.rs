@@ -128,7 +128,7 @@ fn triage_document() -> String {
 fn read_checkpoint(text: &str) {
     if let Ok(doc) = parse(text) {
         if let Ok(cp) = SweepCheckpoint::from_json(&doc) {
-            let _ = cp.validate(0, 16, 2, 8, Some("json-readers"));
+            let _ = cp.validate(0..16, 2, Some("json-readers"));
         }
     }
 }
@@ -184,7 +184,7 @@ fn assert_never_panics(name: &str, read: fn(&str), inputs: &[String]) {
 #[test]
 fn the_undamaged_documents_read_back() {
     let cp = SweepCheckpoint::from_json(&parse(&checkpoint_document()).unwrap()).unwrap();
-    cp.validate(0, 16, 2, 8, Some("json-readers")).unwrap();
+    cp.validate(0..16, 2, Some("json-readers")).unwrap();
     assert_eq!(cp.shard_states.iter().map(|s| s.done).sum::<u64>(), 16);
     assert_eq!(FaultPlan::from_json(&plan().to_json()).unwrap(), plan());
     let report = parse(&triage_document()).unwrap();

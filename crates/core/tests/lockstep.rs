@@ -13,7 +13,7 @@
 use devices::{Board, FaultPlan, SpiConfig, TrafficGen};
 use integration::{build_image, SystemConfig};
 use kami::Scheduler;
-use processor::{check_refinement, PipelineConfig, Pipelined};
+use processor::{check_refinement, Model, PipelineConfig, Pipelined};
 use riscv_spec::{encode, AccessSize, Instruction as I, MmioHandler, NoMmio, Reg};
 
 /// A device wrapper that logs, for every access, how many ticks the device
@@ -90,7 +90,7 @@ fn assert_same(fast: &Core, reference: &Core, at: u64) {
     assert_eq!(fast.stats, reference.stats, "pipeline stats at {at}");
     assert_eq!(fast.retired, reference.retired, "retired at {at}");
     assert_eq!(fast.halted, reference.halted, "halted at {at}");
-    assert_eq!(fast.fetch_pc(), reference.fetch_pc(), "fetch pc at {at}");
+    assert_eq!(fast.pc(), reference.pc(), "fetch pc at {at}");
     assert_eq!(
         fast.rf_snapshot(),
         reference.rf_snapshot(),

@@ -18,6 +18,12 @@ pub trait Sink {
 
     /// Accepts one event.
     fn emit(&mut self, ev: Event);
+
+    /// The events kept so far, oldest first (none for a sink that keeps
+    /// nothing).
+    fn recorded(&self) -> &[Event] {
+        &[]
+    }
 }
 
 /// The default sink: discards everything, costs nothing.
@@ -44,6 +50,10 @@ impl Sink for MemSink {
     #[inline]
     fn emit(&mut self, ev: Event) {
         self.events.push(ev);
+    }
+
+    fn recorded(&self) -> &[Event] {
+        &self.events
     }
 }
 

@@ -16,6 +16,9 @@
 //!   FIFOs, an eagerly-filled instruction cache that does **not** observe
 //!   stores (the §5.6 hazard, on purpose), a branch target buffer, and a
 //!   scoreboard interlock. It runs as a [`kami::RuleBased`] module.
+//! * [`Model`] is the one interface every machine model is driven
+//!   through: run a block, then read events, halted/error state and
+//!   counters (the ISA spec machine implements it too).
 //! * [`refinement`] checks that every pipelined run is a legal spec-core
 //!   run by replaying the pipeline's observed MMIO inputs into the spec
 //!   core — the executable analogue of `kstep1_sound`/`kstep_star_sound`.
@@ -30,6 +33,7 @@ pub mod alu;
 pub mod btb;
 pub mod icache;
 pub mod memsys;
+pub mod model;
 pub mod pipeline;
 pub mod refinement;
 pub mod spec_core;
@@ -37,6 +41,7 @@ pub mod spec_core;
 pub use btb::Btb;
 pub use icache::ICache;
 pub use memsys::MemSystem;
+pub use model::Model;
 pub use pipeline::{PipelineConfig, PipelineStats, Pipelined};
-pub use refinement::{check_refinement, Divergence, RefinementReport};
+pub use refinement::{check_refinement, replay_trace, Divergence, RefinementReport};
 pub use spec_core::SingleCycle;

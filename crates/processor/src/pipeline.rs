@@ -138,7 +138,7 @@ struct Executed {
 /// sink such as [`obs::MemSink`].
 #[derive(Clone, Debug)]
 pub struct Pipelined<M, S = NullSink> {
-    fetch_pc: u32,
+    pub(crate) fetch_pc: u32,
     epoch: bool,
     rf: RegFile,
     sb: Scoreboard,
@@ -209,11 +209,6 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
         self.rf.snapshot()
     }
 
-    /// Runs one hardware cycle (all four stage rules, downstream first).
-    pub fn step_cycle(&mut self) {
-        self.run(1);
-    }
-
     /// Fires the four stage rules once each, downstream first — the
     /// serialization [`kami::Scheduler`] runs over [`RuleBased::rules`],
     /// without the by-name dispatch.
@@ -262,20 +257,6 @@ impl<M: MmioHandler, S: Sink> Pipelined<M, S> {
         }
         self.mem.flush_ticks();
         self.cycle - start
-    }
-
-    /// The pc IF will fetch next — the closest thing a pipelined core has
-    /// to "the current pc" (in-flight instructions may be older).
-    pub fn fetch_pc(&self) -> u32 {
-        self.fetch_pc
-    }
-
-    /// Exports the `pipeline.*` counters, including cycle/retired totals.
-    pub fn counters(&self) -> Counters {
-        let mut c = self.stats.counters();
-        c.set("pipeline.cycles", self.cycle);
-        c.set("pipeline.retired", self.retired);
-        c
     }
 
     /// Instructions retired per cycle so far.
@@ -679,7 +660,7 @@ mod tests {
     fn halted_core_stops_cold() {
         let mut p = run_prog(&[I::Ebreak]);
         let c = p.cycle;
-        p.step_cycle();
+        p.run(1);
         assert_eq!(p.cycle, c);
     }
 }

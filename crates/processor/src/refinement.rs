@@ -174,41 +174,9 @@ where
 {
     let mut imp = Pipelined::new(image, ram_bytes, devices, config);
     imp.run(max_cycles);
-    let impl_events = imp.mem.events();
+    let events = imp.mem.events();
+    let spec = replay_trace(image, ram_bytes, &events, claims, imp.halted, max_cycles)?;
 
-    let replay = ReplayHandler::new(impl_events.clone(), claims);
-    let mut spec = SingleCycle::new(image, ram_bytes, replay);
-    // Run the spec core until it halts, diverges, or — when the
-    // implementation ran out of fuel mid-interaction — has consumed every
-    // event the implementation produced (running further would make it
-    // overrun the replay queue, which is not a divergence). Stepping is
-    // batched: since one instruction consumes at most one replay event, a
-    // block bounded by the remaining event count can never overrun the
-    // queue, and divergence is sticky inside [`ReplayHandler`] (every
-    // post-divergence access is a no-op), so checking once per block sees
-    // exactly the first divergence the per-step loop would.
-    while !spec.halted && spec.cycle < max_cycles {
-        let budget = (max_cycles - spec.cycle).min(1024);
-        let block = if imp.halted {
-            budget
-        } else {
-            let remaining = impl_events.len() - spec.mem.mmio.consumed();
-            if remaining == 0 {
-                break;
-            }
-            budget.min(remaining as u64)
-        };
-        spec.run_block(block);
-        if spec.mem.mmio.divergence().is_some() {
-            break;
-        }
-    }
-
-    if let Some(d) = spec.mem.mmio.divergence() {
-        return Err(d.clone());
-    }
-    // The spec core's own label trace must equal the implementation's.
-    let spec_events = spec.mem.events();
     if imp.halted != spec.halted {
         return Err(Divergence::HaltMismatch {
             implementation: imp.halted,
@@ -216,10 +184,12 @@ where
         });
     }
     if imp.halted {
-        if spec_events != impl_events {
+        // The replayed trace is a prefix of the recorded one: it must be
+        // all of it.
+        if spec.mem.trace.len() != events.len() {
             return Err(Divergence::TraceLength {
-                implementation: impl_events.len(),
-                spec: spec_events.len(),
+                implementation: events.len(),
+                spec: spec.mem.trace.len(),
             });
         }
         let (irf, srf) = (imp.rf_snapshot(), spec.rf.snapshot());
@@ -236,27 +206,70 @@ where
         if let Some(addr) = im.iter().zip(&sm).position(|(a, b)| a != b) {
             return Err(Divergence::MemoryMismatch { addr: addr as u32 });
         }
-    } else {
-        // Fuel ran out: the shorter trace must be a prefix of the longer.
-        let n = spec_events.len().min(impl_events.len());
-        if spec_events[..n] != impl_events[..n] {
-            let i = (0..n)
-                .find(|&i| spec_events[i] != impl_events[i])
-                .expect("mismatch exists");
-            return Err(Divergence::TraceMismatch {
-                index: i,
-                implementation: Some(impl_events[i]),
-                spec: spec_events[i],
-            });
-        }
     }
 
     Ok(RefinementReport {
         impl_cycles: imp.cycle,
         impl_retired: imp.retired,
         spec_cycles: spec.cycle,
-        events: impl_events.len(),
+        events: events.len(),
     })
+}
+
+/// Replays `events`, the trace of an implementation run, into the
+/// single-cycle spec core over `image` (steps 2–3 of the module docs) and
+/// returns the core for end-state comparisons. The core runs until it
+/// halts, diverges, or reaches `max_cycles`; unless the implementation
+/// halted, it also stops once it has consumed every event, since running
+/// further would overrun the replay queue, which is not a divergence.
+///
+/// # Errors
+///
+/// The first [`Divergence`]: an access the recorded trace does not allow,
+/// or the first event where the two traces' common prefix differs.
+pub fn replay_trace<F: Fn(u32) -> bool>(
+    image: &[u8],
+    ram_bytes: u32,
+    events: &[MmioEvent],
+    claims: F,
+    impl_halted: bool,
+    max_cycles: u64,
+) -> Result<SingleCycle<ReplayHandler<F>>, Divergence> {
+    let replay = ReplayHandler::new(events.to_vec(), claims);
+    let mut spec = SingleCycle::new(image, ram_bytes, replay);
+    // Stepping is batched: since one instruction consumes at most one
+    // replay event, a block bounded by the remaining event count can never
+    // overrun the queue, and divergence is sticky inside [`ReplayHandler`]
+    // (every post-divergence access is a no-op), so checking once per block
+    // sees exactly the first divergence the per-step loop would.
+    while !spec.halted && spec.cycle < max_cycles {
+        let budget = (max_cycles - spec.cycle).min(1024);
+        let block = if impl_halted {
+            budget
+        } else {
+            let remaining = events.len() - spec.mem.mmio.consumed();
+            if remaining == 0 {
+                break;
+            }
+            budget.min(remaining as u64)
+        };
+        spec.run_block(block);
+        if spec.mem.mmio.divergence().is_some() {
+            break;
+        }
+    }
+    if let Some(d) = spec.mem.mmio.divergence() {
+        return Err(d.clone());
+    }
+    let replayed = spec.mem.events();
+    if let Some(index) = replayed.iter().zip(events).position(|(s, i)| s != i) {
+        return Err(Divergence::TraceMismatch {
+            index,
+            implementation: Some(events[index]),
+            spec: replayed[index],
+        });
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]

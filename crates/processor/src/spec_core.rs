@@ -51,7 +51,7 @@ impl<M: MmioHandler> SingleCycle<M> {
     }
 
     /// Drops every predecoded entry. Required after mutating `mem.ram`
-    /// directly (stores issued through [`SingleCycle::step`] invalidate
+    /// directly (stores issued through [`SingleCycle::run_block`] invalidate
     /// automatically).
     pub fn flush_icache(&mut self) {
         self.icache.flush();
@@ -69,8 +69,7 @@ impl<M: MmioHandler> SingleCycle<M> {
         }
     }
 
-    /// One instruction's datapath, minus the device tick (the caller picks
-    /// immediate or deferred ticking).
+    /// One instruction's datapath, minus the device tick.
     #[inline]
     fn step_datapath(&mut self) {
         let inst = self.fetch_decoded();
@@ -101,15 +100,6 @@ impl<M: MmioHandler> SingleCycle<M> {
         self.pc = out.next_pc;
         self.cycle += 1;
         self.retired += 1;
-    }
-
-    /// Executes one instruction (one cycle). No-op once halted.
-    pub fn step(&mut self) {
-        if self.halted {
-            return;
-        }
-        self.step_datapath();
-        self.mem.tick();
     }
 
     /// Runs up to `fuel` instructions with deferred device ticks: the
@@ -162,7 +152,7 @@ mod tests {
         assert!(c.halted);
         assert_eq!(c.rf.read(6), 42);
         assert_eq!(c.retired, 3); // the ebreak itself retires
-        c.step();
+        c.run(1);
         assert_eq!(c.retired, 3, "halted core must not step");
     }
 

@@ -88,7 +88,7 @@ proptest! {
         let mut spec = SpecMachine::new(Memory::with_size(RAM), NoMmio);
         spec.load_program(0, &img.chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect::<Vec<_>>());
-        match spec.run_until_ebreak(FUEL) {
+        match spec.run_block(FUEL) {
             Ok(StepOutcome::Halted { .. }) => {}
             _ => return Ok(()), // outside the contract: nothing to check
         }
@@ -111,7 +111,7 @@ proptest! {
         let mut spec = SpecMachine::new(Memory::with_size(RAM), NoMmio);
         spec.load_program(0, &img.chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect::<Vec<_>>());
-        match spec.run_until_ebreak(FUEL) {
+        match spec.run_block(FUEL) {
             Ok(StepOutcome::Halted { .. }) => {}
             _ => return Ok(()),
         }

@@ -258,6 +258,9 @@ pub struct SpecMachine<M> {
     pub instret: u64,
     /// Execution statistics (retired mix, MMIO gaps).
     pub stats: SpecStats,
+    /// The error that stopped the machine for good, when its driver keeps
+    /// one (the block-run interface of the `processor` crate does).
+    pub stopped: Option<MachineError>,
     /// Predecoded instruction cache (private: its coherence with `mem` and
     /// `xaddrs` is maintained by the store path; see
     /// [`SpecMachine::flush_icache`] for out-of-band memory writes).
@@ -283,6 +286,7 @@ impl<M: MmioHandler> SpecMachine<M> {
             trace: Vec::new(),
             instret: 0,
             stats: SpecStats::default(),
+            stopped: None,
             icache: DecodeCache::new(len),
             pending_ticks: 0,
         }
@@ -459,37 +463,6 @@ impl<M: MmioHandler> SpecMachine<M> {
         outcome
     }
 
-    /// Runs until `ebreak`, an error, or `fuel` instructions (an alias of
-    /// [`SpecMachine::run_block`], kept for the harnesses' vocabulary).
-    ///
-    /// [`StepOutcome::Halted::steps`] counts the instructions retired *in
-    /// this call*, so resuming a machine and halting again reports only the
-    /// second leg.
-    ///
-    /// # Errors
-    ///
-    /// Any [`MachineError`] other than [`MachineError::Breakpoint`], which
-    /// is the halt convention and reported as [`StepOutcome::Halted`].
-    pub fn run_until_ebreak(&mut self, fuel: u64) -> Result<StepOutcome, MachineError> {
-        self.run_block(fuel)
-    }
-
-    /// Runs exactly `n` instructions or until an error (including
-    /// [`MachineError::Breakpoint`], which [`SpecMachine::run_block`] would
-    /// instead report as a halt).
-    ///
-    /// # Errors
-    ///
-    /// The first [`MachineError`] encountered, with the number of
-    /// successfully retired instructions recoverable from
-    /// [`SpecMachine::instret`].
-    pub fn run(&mut self, n: u64) -> Result<(), MachineError> {
-        match self.run_block(n)? {
-            StepOutcome::Halted { .. } => Err(MachineError::Breakpoint { addr: self.pc }),
-            StepOutcome::OutOfFuel => Ok(()),
-        }
-    }
-
     /// Decodes the instruction at the current pc without executing it.
     pub fn current_instruction(&self) -> Option<Instruction> {
         self.mem.load_u32(self.pc).ok().map(decode)
@@ -622,7 +595,7 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        let out = m.run_until_ebreak(10).unwrap();
+        let out = m.run_block(10).unwrap();
         assert_eq!(out, StepOutcome::Halted { steps: 2 });
         assert_eq!(m.reg(Reg::X6), 42);
     }
@@ -645,13 +618,10 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        assert_eq!(
-            m.run_until_ebreak(10).unwrap(),
-            StepOutcome::Halted { steps: 2 }
-        );
+        assert_eq!(m.run_block(10).unwrap(), StepOutcome::Halted { steps: 2 });
         m.pc = 4; // resume over the second addi only
         assert_eq!(
-            m.run_until_ebreak(10).unwrap(),
+            m.run_block(10).unwrap(),
             StepOutcome::Halted { steps: 1 },
             "second call must not include the first call's instret"
         );
@@ -680,7 +650,7 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        let out = m.run_until_ebreak(1000).unwrap();
+        let out = m.run_block(1000).unwrap();
         assert!(matches!(out, StepOutcome::Halted { .. }));
         assert_eq!(m.stats.icache_misses, 4, "one fill per distinct slot");
         assert_eq!(
@@ -727,8 +697,8 @@ mod tests {
         let mut uncached = machine_with(&prog);
         uncached.set_icache_enabled(false);
         assert_eq!(
-            cached.run_until_ebreak(100).unwrap(),
-            uncached.run_until_ebreak(100).unwrap()
+            cached.run_block(100).unwrap(),
+            uncached.run_block(100).unwrap()
         );
         assert_eq!(cached.regs, uncached.regs);
         assert_eq!(cached.pc, uncached.pc);
@@ -786,7 +756,7 @@ mod tests {
                 offset: -28, // back to address 4
             },
         ]);
-        let out = m.run_until_ebreak(50).unwrap();
+        let out = m.run_block(50).unwrap();
         assert!(
             matches!(out, StepOutcome::Halted { .. }),
             "patched ebreak must execute: stale cached nop would loop to fuel ({out:?})"
@@ -846,7 +816,7 @@ mod tests {
 
         let mut blocked = SpecMachine::new(Memory::with_size(0x1000), Clock::default());
         blocked.load_program(0, &words);
-        blocked.run_until_ebreak(100).unwrap();
+        blocked.run_block(100).unwrap();
 
         assert_eq!(stepped.reg(Reg::X6), blocked.reg(Reg::X6));
         assert_eq!(stepped.reg(Reg::X7), blocked.reg(Reg::X7));
@@ -865,7 +835,7 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        m.run_until_ebreak(10).unwrap();
+        m.run_block(10).unwrap();
         assert_eq!(m.reg(Reg::X0), 0);
     }
 
@@ -904,7 +874,7 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        m.run_until_ebreak(100).unwrap();
+        m.run_block(100).unwrap();
         assert_eq!(m.reg(Reg::X6), 15);
     }
 
@@ -929,7 +899,7 @@ mod tests {
                 offset: 0,
             },
         ]);
-        m.run_until_ebreak(10).unwrap();
+        m.run_block(10).unwrap();
         assert_eq!(m.reg(Reg::X10), 7);
         assert_eq!(m.reg(Reg::X1), 4); // return address
     }
@@ -959,7 +929,7 @@ mod tests {
             },
             I::Ebreak,
         ]);
-        m.run_until_ebreak(10).unwrap();
+        m.run_block(10).unwrap();
         assert_eq!(m.reg(Reg::X6), u32::MAX);
         assert_eq!(m.reg(Reg::X7), 0xFF);
     }
@@ -1006,7 +976,7 @@ mod tests {
             I::FenceI,
             I::NOP, // slot 16 — overwritten with ebreak
         ]);
-        let out = m.run_until_ebreak(10).unwrap();
+        let out = m.run_block(10).unwrap();
         assert!(matches!(out, StepOutcome::Halted { .. }));
     }
 
@@ -1107,7 +1077,7 @@ mod tests {
         let words: Vec<u32> = prog.iter().map(encode).collect();
         let mut m = SpecMachine::new(Memory::with_size(0x1000), Echo::default());
         m.load_program(0, &words);
-        m.run_until_ebreak(10).unwrap();
+        m.run_block(10).unwrap();
         assert_eq!(m.reg(Reg::X7), 7);
         assert_eq!(
             m.trace,

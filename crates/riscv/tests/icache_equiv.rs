@@ -89,7 +89,7 @@ fn run_to_completion(words: &[u32], icache: bool) -> Observed {
     let mut m = SpecMachine::new(Memory::with_size(RAM), NoMmio);
     m.set_icache_enabled(icache);
     m.load_program(0, words);
-    let outcome = m.run_until_ebreak(FUEL);
+    let outcome = m.run_block(FUEL);
     Observed {
         outcome,
         regs: m.regs,

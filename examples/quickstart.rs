@@ -45,9 +45,7 @@ fn main() {
 
     let mut machine = SpecMachine::new(Memory::with_size(0x1_0000), NoMmio);
     machine.load_program(0, &image.words());
-    let outcome = machine
-        .run_until_ebreak(1_000_000)
-        .expect("no undefined behavior");
+    let outcome = machine.run_block(1_000_000).expect("no undefined behavior");
     assert!(
         matches!(outcome, lightbulb_system::riscv::StepOutcome::Halted { .. }),
         "program must halt"

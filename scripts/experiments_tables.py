@@ -98,12 +98,63 @@ def driver_proofs():
     return "\n".join(lines)
 
 
+FIG_PERF_LABELS = {
+    "SPI pipelining": "SPI pipelining (interleaved → pipelined driver)",
+    "timeout logic": "timeout logic (on → off)",
+    "compiler optimizations": "compiler optimizations (naive verified-style → optimizing)",
+    "processor": "processor (4-stage pipelined → idealized 1-IPC core)",
+}
+
+
+def fig_perf_record():
+    return json.loads((ROOT / "BENCH_fig_perf.json").read_text())["data"]
+
+
+def fig_perf():
+    d = fig_perf_record()
+    configs = d["configs"]
+    lines = [
+        "<!-- generated from BENCH_fig_perf.json by scripts/experiments_tables.py -->",
+        "",
+        "| factor | paper | measured (recorded run) | cycles |",
+        "|---|---|---|---|",
+    ]
+    for f in d["factors"]:
+        lines.append(f"| {FIG_PERF_LABELS[f['factor']]} | {f['paper']:.1f}× | {f['measured']:.2f}× "
+                     f"| {f['cycles_before']} → {f['cycles_after']} |")
+    lines.append(f"| **product** | ≈{d['total_paper']:.0f}× | **{d['total_measured']:.2f}×** "
+                 f"| {configs[0]['latency_cycles']} → {configs[-1]['latency_cycles']} |")
+    return "\n".join(lines)
+
+
+def fig_perf_regalloc():
+    a = fig_perf_record()["regalloc_ablation"]
+    return (f"compiling the same sources with every variable spilled costs "
+            f"{a['spill_all_cycles']} cycles vs {a['regalloc_cycles']} with the allocator — "
+            f"the allocator buys {a['ratio']:.2f}×.")
+
+
+def fig_perf_spi():
+    lines = [
+        "<!-- generated from BENCH_fig_perf.json by scripts/experiments_tables.py -->",
+        "",
+        "| SPI cycles/byte | latency (cycles) |",
+        "|---|---|",
+    ]
+    for r in fig_perf_record()["spi_sweep"]:
+        lines.append(f"| {r['spi_cycles_per_byte']} | {r['latency_cycles']} |")
+    return "\n".join(lines)
+
+
 TABLES = {
     "spec_throughput": spec_throughput,
     "fault_sweep": fault_sweep,
     "table4": table4,
     "verif_perf": verif_perf,
     "driver_proofs": driver_proofs,
+    "fig_perf": fig_perf,
+    "fig_perf_regalloc": fig_perf_regalloc,
+    "fig_perf_spi": fig_perf_spi,
 }
 
 

@@ -171,11 +171,7 @@ fn transient_failures_are_retried_and_recover() {
     use std::sync::atomic::{AtomicU64, Ordering};
     let first_attempts = AtomicU64::new(0);
     let opts = SweepOptions {
-        retry: RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        },
+        retry: RetryPolicy { attempts: 3 },
         ..SweepOptions::default()
     };
     let report = resilient_sweep(0..10, 2, &opts, |seed, attempt, _| {
@@ -201,11 +197,7 @@ fn hard_failures_are_not_retried() {
     use std::sync::atomic::{AtomicU64, Ordering};
     let calls = AtomicU64::new(0);
     let opts = SweepOptions {
-        retry: RetryPolicy {
-            attempts: 3,
-            base_backoff_ms: 0,
-            backoff_cap_ms: 0,
-        },
+        retry: RetryPolicy { attempts: 3 },
         ..SweepOptions::default()
     };
     let report = resilient_sweep(5..6, 1, &opts, |_, _, _| {
@@ -317,9 +309,29 @@ fn a_killed_sweep_resumes_to_a_byte_identical_report() {
 #[test]
 fn resume_refuses_a_mismatched_checkpoint() {
     let cp = SweepCheckpoint::fresh("fault_sweep", 0, 100, 4, 25);
-    assert!(cp.validate(0, 100, 4, 25, Some("fault_sweep")).is_ok());
-    assert!(cp.validate(0, 60, 4, 15, Some("fault_sweep")).is_err());
-    assert!(cp.validate(0, 100, 4, 25, Some("compiler_sweep")).is_err());
+    assert!(cp.validate(0..100, 4, Some("fault_sweep")).is_ok());
+    assert!(cp.validate(0..60, 4, Some("fault_sweep")).is_err());
+    assert!(cp.validate(0..100, 4, Some("compiler_sweep")).is_err());
+
+    // A checkpoint the engine wrote itself: 10 seeds over 3 requested
+    // shards split 4/4/2, over 4 they would split 3/3/3/1.
+    let dir = std::env::temp_dir().join("lightbulb-geometry-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("geometry.cp.json");
+    let written = SweepOptions {
+        checkpoint: Some(CheckpointConfig {
+            path: path.clone(),
+            every: 1,
+            tag: "fault_sweep".to_string(),
+        }),
+        ..SweepOptions::default()
+    };
+    resilient_sweep(0..10, 3, &written, |_, _, _| Ok(())).expect_clean("geometry sweep");
+    let cp = SweepCheckpoint::load(&path).expect("checkpoint loads");
+    std::fs::remove_file(&path).ok();
+    assert!(cp.validate(0..10, 3, Some("fault_sweep")).is_ok());
+    assert!(cp.validate(0..10, 4, Some("fault_sweep")).is_err());
+
     let opts = SweepOptions {
         resume: Some(SweepCheckpoint::fresh("", 0, 999, 1, 999)),
         ..SweepOptions::default()
