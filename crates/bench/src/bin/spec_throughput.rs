@@ -8,21 +8,28 @@
 //! everyone now gets), the seed configuration (cache off, per-step loop),
 //! the single-cycle hardware model, and the pipelined hardware model. Each
 //! row is the fastest of `REPS` runs taken in turn with the other cores,
-//! timed in thread CPU time (wall clock off 64-bit Linux). The
-//! differential section times the same 40-seed compiler sweep serially and
-//! sharded across every hardware thread, and self-checks that the sharded
-//! sweep's counter report is byte-for-byte deterministic across runs.
+//! timed in thread CPU time (wall clock off 64-bit Linux). In the same
+//! rounds the streaming trace monitor checks the quick-pass traces of
+//! fault-sweep plan seeds 0–7 on both machine models, one cold `Monitor`
+//! per seed as the sweep builds it; its events per second over the cached
+//! spec machine's steps per second is the matcher ratio
+//! `scripts/bench_gate.sh` gates. The differential section times the
+//! same 40-seed compiler sweep serially and sharded across every hardware
+//! thread, and self-checks that the sharded sweep's counter report is
+//! byte-for-byte deterministic across runs.
 
 use std::time::Instant;
 
 use bench::{counters_json, emit_json, json_mode, render_table};
-use lightbulb_system::devices::{Board, SpiConfig};
+use lightbulb_system::devices::{Board, FaultPlan, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
     check_compiler_differential, default_shards, parallel_sweep,
 };
-use lightbulb_system::integration::{build_image, SystemConfig};
+use lightbulb_system::integration::{build_image, FaultSweepConfig, ProcessorKind, SystemConfig};
+use lightbulb_system::lightbulb::good_hl_trace;
 use lightbulb_system::processor::{PipelineConfig, Pipelined, SingleCycle};
-use lightbulb_system::riscv::{Memory, SpecMachine};
+use lightbulb_system::proglogic::trace::Monitor;
+use lightbulb_system::riscv::{Memory, MmioEvent, SpecMachine};
 use obs::json::Value;
 
 const STEPS: u64 = 2_000_000;
@@ -30,6 +37,8 @@ const STEPS: u64 = 2_000_000;
 const REPS: u32 = 15;
 const RAM: u32 = 0x1_0000;
 const DIFF_SEEDS: std::ops::Range<u64> = 0..40;
+/// Fault-sweep plan seeds whose traces the matcher row checks.
+const MATCH_SEEDS: std::ops::Range<u64> = 0..8;
 
 struct Row {
     config: &'static str,
@@ -108,6 +117,28 @@ fn booted_spec(words: &[u32], icache: bool) -> SpecMachine<Board> {
     m
 }
 
+/// The quick-pass traces of every seed in [`MATCH_SEEDS`], pipelined
+/// then spec machine, as the fault sweep records them.
+fn sweep_traces() -> Vec<[Vec<MmioEvent>; 2]> {
+    let cfg = FaultSweepConfig::default();
+    let image = build_image(&cfg.system);
+    MATCH_SEEDS
+        .map(|seed| {
+            let plan = FaultPlan::from_seed(seed);
+            let mut gen = TrafficGen::new(seed);
+            let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+            [ProcessorKind::Pipelined, ProcessorKind::SpecMachine].map(|processor| {
+                let sys = SystemConfig {
+                    processor,
+                    ..cfg.system
+                };
+                sys.run_faulted(&image, &plan, &frames, cfg.quick_cycles)
+                    .events
+            })
+        })
+        .collect()
+}
+
 fn main() {
     let image = build_image(&SystemConfig::default());
     let words = image.words();
@@ -118,9 +149,12 @@ fn main() {
         .run_block(STEPS / 4)
         .expect("lightbulb runs clean");
 
+    let spec = good_hl_trace(FaultSweepConfig::default().system.driver);
+    let traces = sweep_traces();
+
     // Decode-cache hit/miss counts are deterministic, so any timed run's do.
     let (mut hits, mut misses) = (0, 0);
-    let rows = best_of_interleaved(&mut [
+    let mut rows = best_of_interleaved(&mut [
         ("spec cached (run_block + decode cache)", &mut || {
             let mut m = booted_spec(&words, true);
             m.run_block(STEPS).expect("lightbulb runs clean");
@@ -149,7 +183,20 @@ fn main() {
             pipe.run(STEPS);
             pipe.retired
         }),
+        ("trace monitor (cold per seed)", &mut || {
+            let mut events = 0;
+            for pair in &traces {
+                let mut monitor = Monitor::new(&spec);
+                for t in pair {
+                    assert_eq!(monitor.first_violation(t), None, "sweep traces are good");
+                    events += t.len() as u64;
+                }
+            }
+            events
+        }),
     ]);
+    let matcher = rows.pop().expect("the matcher row");
+    let match_ratio = matcher.rate() / rows[0].rate();
 
     let speedup = rows[0].rate() / rows[1].rate();
 
@@ -197,6 +244,16 @@ fn main() {
             .field("cores", cores)
             .field("cached_vs_seed_speedup", Value::Float(speedup))
             .field(
+                "matcher",
+                Value::obj()
+                    .field("config", Value::Str(matcher.config.to_string()))
+                    .field("seeds", Value::UInt(MATCH_SEEDS.end - MATCH_SEEDS.start))
+                    .field("events", Value::UInt(matcher.retired))
+                    .field("seconds", Value::Float(matcher.secs))
+                    .field("events_per_sec", Value::Float(matcher.rate()))
+                    .field("vs_cached_spec", Value::Float(match_ratio)),
+            )
+            .field(
                 "icache",
                 Value::obj()
                     .field("hits", Value::UInt(hits))
@@ -240,6 +297,13 @@ fn main() {
         "decode cache: {hits} hits / {misses} misses ({:.4}% hit rate); \
          cached vs seed speedup: {speedup:.2}x",
         100.0 * hits as f64 / (hits + misses).max(1) as f64
+    );
+    println!(
+        "trace monitor: {} events of fault-sweep seeds {MATCH_SEEDS:?} in {:.3} s \
+         ({:.2} Mevents/s, {match_ratio:.3}x the cached spec machine's steps/s)",
+        matcher.retired,
+        matcher.secs,
+        matcher.rate() / 1e6
     );
     println!(
         "differential sweep ({} seeds): serial {serial_secs:.2} s, \

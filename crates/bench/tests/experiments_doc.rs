@@ -152,6 +152,25 @@ fn spec_throughput_table_matches_its_record() {
         100.0 * hits / (hits + misses),
         "decode-cache hit rate",
     );
+
+    let matcher = data.get("matcher").expect("matcher");
+    let sentence = table
+        .split("Trace monitor, cold per seed")
+        .nth(1)
+        .expect("the trace-monitor line");
+    let quoted = numbers(sentence);
+    let seeds = num(matcher, "seeds");
+    let figures = [
+        (seeds - 1.0, "last plan seed"),
+        (num(matcher, "events"), "events"),
+        (num(matcher, "events_per_sec") / 1e6, "events_per_sec"),
+        (num(matcher, "vs_cached_spec"), "vs_cached_spec"),
+    ];
+    // The sentence's numbers after the leading plan seed 0.
+    assert_eq!(quoted.len(), 1 + figures.len(), "{sentence:?}");
+    for (q, (value, what)) in quoted[1..].iter().zip(figures) {
+        assert_quotes(q, value, what);
+    }
 }
 
 /// The cells of every body row of a generated markdown table (the header

@@ -84,11 +84,6 @@ impl Scoreboard {
         self.busy[r as usize] = false;
     }
 
-    /// Clears everything (pipeline flush after `fence.i`, used by tests).
-    pub fn clear_all(&mut self) {
-        self.busy = [false; 32];
-    }
-
     /// True when no register is busy (pipeline drained).
     pub fn all_clear(&self) -> bool {
         !self.busy.iter().any(|b| *b)

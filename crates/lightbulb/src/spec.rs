@@ -51,16 +51,6 @@ use crate::app::DriverOptions;
 use crate::layout::{self, lan};
 use proglogic::trace::{ld_if, st_if, TracePred};
 
-/// `p` repeated at most `n` times (polling loops are bounded by their
-/// timeout budget).
-fn at_most(p: &TracePred, n: usize) -> TracePred {
-    let mut acc = TracePred::eps();
-    for _ in 0..n {
-        acc = p.then(&acc).or(&TracePred::eps());
-    }
-    acc.named(&format!("({:?})^{{0..{n}}}", p))
-}
-
 /// Maximum polls a driver flag-wait can issue (timeout budget + the
 /// initial read).
 const MAX_POLLS: usize = layout::SPI_TIMEOUT as usize + 2;
@@ -103,7 +93,8 @@ fn put(byte: Option<u8>) -> TracePred {
         Some(b) => format!("put({b:#04x})"),
         None => "put(_)".to_string(),
     };
-    at_most(&tx_busy(), MAX_POLLS)
+    tx_busy()
+        .at_most(MAX_POLLS)
         .then(&tx_ready())
         .then(&write)
         .named(&name)
@@ -111,7 +102,8 @@ fn put(byte: Option<u8>) -> TracePred {
 
 /// `spi_get()`: wait for and read one response byte satisfying `f`.
 fn get(name: &str, f: impl Fn(u8) -> bool + Send + Sync + 'static) -> TracePred {
-    at_most(&rx_empty(), MAX_POLLS)
+    rx_empty()
+        .at_most(MAX_POLLS)
         .then(&rx_byte(name, f))
         .named(&format!("get[{name}]"))
 }
@@ -205,7 +197,8 @@ fn lan_read_any(opts: DriverOptions, addr: u16) -> TracePred {
 /// byte of any value (wire garbage is admissible) or nothing at all (the
 /// timeout path).
 fn get_ft() -> TracePred {
-    at_most(&rx_empty(), MAX_POLLS)
+    rx_empty()
+        .at_most(MAX_POLLS)
         .then(&rx_byte("rx?", |_| true).or(&TracePred::eps()))
         .named("get_ft")
 }
@@ -269,7 +262,9 @@ fn lan_write_ft(opts: DriverOptions, addr: u16, value: u32) -> TracePred {
 /// reads (stale bytes or the terminating empty read).
 fn drain_reads() -> TracePred {
     let rx_read = ld_if(layout::SPI_RXDATA, "drain", |_| true);
-    at_most(&rx_read, layout::SPI_DRAIN_BUDGET as usize + 1).named("spi_drain")
+    rx_read
+        .at_most(layout::SPI_DRAIN_BUDGET as usize + 1)
+        .named("spi_drain")
 }
 
 /// `BootSeq`: GPIO setup plus the Ethernet controller's mandated
@@ -289,22 +284,18 @@ pub fn boot_seq(opts: DriverOptions) -> TracePred {
             Some(("magic3", |b| b == 0x87)),
         ],
     );
-    let byte_test_poll = at_most(
-        &lan_read_any(opts, lan::BYTE_TEST),
-        layout::INIT_TIMEOUT as usize + 1,
-    )
-    .then(&byte_test_magic);
+    let byte_test_poll = lan_read_any(opts, lan::BYTE_TEST)
+        .at_most(layout::INIT_TIMEOUT as usize + 1)
+        .then(&byte_test_magic);
     // Poll HW_CFG until READY (bit 27 = bit 3 of byte 3).
     let hw_cfg_ready = lan_read(
         opts,
         lan::HW_CFG,
         [None, None, None, Some(("ready", |b| b & 0x08 != 0))],
     );
-    let hw_cfg_poll = at_most(
-        &lan_read_any(opts, lan::HW_CFG),
-        layout::INIT_TIMEOUT as usize + 1,
-    )
-    .then(&hw_cfg_ready);
+    let hw_cfg_poll = lan_read_any(opts, lan::HW_CFG)
+        .at_most(layout::INIT_TIMEOUT as usize + 1)
+        .then(&hw_cfg_ready);
     // MAC receive enable through the CSR indirection, then wait not-busy.
     let mac = lan_write(opts, lan::MAC_CSR_DATA, layout::MAC_CR_RXEN).then(&lan_write(
         opts,
@@ -316,11 +307,9 @@ pub fn boot_seq(opts: DriverOptions) -> TracePred {
         lan::MAC_CSR_CMD,
         [None, None, None, Some(("idle", |b| b & 0x80 == 0))],
     );
-    let cmd_poll = at_most(
-        &lan_read_any(opts, lan::MAC_CSR_CMD),
-        layout::INIT_TIMEOUT as usize + 1,
-    )
-    .then(&cmd_idle);
+    let cmd_poll = lan_read_any(opts, lan::MAC_CSR_CMD)
+        .at_most(layout::INIT_TIMEOUT as usize + 1)
+        .then(&cmd_idle);
     TracePred::all([
         gpio_en,
         byte_test_poll,
@@ -367,13 +356,17 @@ fn init_attempt_ok(opts: DriverOptions) -> TracePred {
             Some(("magic3", |b| b == 0x87)),
         ],
     );
-    let byte_test_poll = at_most(&lan_read_ft(opts, lan::BYTE_TEST), budget).then(&byte_test_magic);
+    let byte_test_poll = lan_read_ft(opts, lan::BYTE_TEST)
+        .at_most(budget)
+        .then(&byte_test_magic);
     let hw_cfg_ready = lan_read(
         opts,
         lan::HW_CFG,
         [None, None, None, Some(("ready", |b| b & 0x08 != 0))],
     );
-    let hw_cfg_poll = at_most(&lan_read_ft(opts, lan::HW_CFG), budget).then(&hw_cfg_ready);
+    let hw_cfg_poll = lan_read_ft(opts, lan::HW_CFG)
+        .at_most(budget)
+        .then(&hw_cfg_ready);
     let mac = lan_write(opts, lan::MAC_CSR_DATA, layout::MAC_CR_RXEN).then(&lan_write(
         opts,
         lan::MAC_CSR_CMD,
@@ -384,7 +377,9 @@ fn init_attempt_ok(opts: DriverOptions) -> TracePred {
         lan::MAC_CSR_CMD,
         [None, None, None, Some(("idle", |b| b & 0x80 == 0))],
     );
-    let cmd_poll = at_most(&lan_read_ft(opts, lan::MAC_CSR_CMD), budget).then(&cmd_idle);
+    let cmd_poll = lan_read_ft(opts, lan::MAC_CSR_CMD)
+        .at_most(budget)
+        .then(&cmd_idle);
     TracePred::all([byte_test_poll, hw_cfg_poll, mac, cmd_poll, link_check(opts)])
         .named("init_attempt_ok")
 }
@@ -396,15 +391,15 @@ fn init_attempt_fail(opts: DriverOptions) -> TracePred {
     let budget = layout::INIT_TIMEOUT as usize + 2;
     let opt = |p: &TracePred| p.or(&TracePred::eps());
     TracePred::all([
-        at_most(&lan_read_ft(opts, lan::BYTE_TEST), budget),
-        at_most(&lan_read_ft(opts, lan::HW_CFG), budget),
+        lan_read_ft(opts, lan::BYTE_TEST).at_most(budget),
+        lan_read_ft(opts, lan::HW_CFG).at_most(budget),
         opt(&lan_write_ft(opts, lan::MAC_CSR_DATA, layout::MAC_CR_RXEN)),
         opt(&lan_write_ft(
             opts,
             lan::MAC_CSR_CMD,
             layout::MAC_CSR_BUSY | layout::MAC_CR,
         )),
-        at_most(&lan_read_ft(opts, lan::MAC_CSR_CMD), budget),
+        lan_read_ft(opts, lan::MAC_CSR_CMD).at_most(budget),
         opt(&lan_write_ft(
             opts,
             lan::MAC_CSR_DATA,
@@ -480,12 +475,13 @@ const MAX_DATA_WORDS: usize = (layout::RX_BUFFER_BYTES as usize).div_ceil(4);
 /// `Recv b`: a frame is announced, its status is read, and its contents
 /// are streamed out — with the command byte carrying `b`.
 pub fn recv(opts: DriverOptions, b: bool) -> TracePred {
-    let leading: Vec<TracePred> = (0..10).map(|_| data_word_any(opts)).collect();
+    // One word node, shared by every position it appears at.
+    let word = data_word_any(opts);
     poll_avail(opts)
         .then(&lan_read_any(opts, lan::RX_STATUS_FIFO))
-        .then(&TracePred::all(leading))
+        .then(&TracePred::all(vec![word.clone(); 10]))
         .then(&data_word_cmd(opts, b))
-        .then(&at_most(&data_word_any(opts), MAX_DATA_WORDS - 11))
+        .then(&word.at_most(MAX_DATA_WORDS - 11))
 }
 
 /// `LightbulbCmd b`: the read-modify-write of the GPIO output register
@@ -505,7 +501,8 @@ pub fn lightbulb_cmd(b: bool) -> TracePred {
 /// driver ignores its error and still reports the frame rejected.
 pub fn recv_invalid(opts: DriverOptions) -> TracePred {
     let discard = lan_write_ft(opts, lan::RX_DP_CTRL, layout::RX_DP_DISCARD);
-    let consume = data_word_any(opts).then(&at_most(&data_word_any(opts), MAX_DATA_WORDS - 1));
+    let word = data_word_any(opts);
+    let consume = word.then(&word.at_most(MAX_DATA_WORDS - 1));
     poll_avail(opts)
         .then(&lan_read_any(opts, lan::RX_STATUS_FIFO))
         .then(&discard.or(&consume))
@@ -516,10 +513,8 @@ pub fn recv_invalid(opts: DriverOptions) -> TracePred {
 /// words, any of them incomplete. No GPIO events anywhere. The app loop
 /// always follows this with [`reinit`].
 pub fn recv_error(opts: DriverOptions) -> TracePred {
-    let status_and_data = lan_read_ft(opts, lan::RX_STATUS_FIFO).then(&at_most(
-        &lan_read_ft(opts, lan::RX_DATA_FIFO),
-        MAX_DATA_WORDS,
-    ));
+    let status_and_data = lan_read_ft(opts, lan::RX_STATUS_FIFO)
+        .then(&lan_read_ft(opts, lan::RX_DATA_FIFO).at_most(MAX_DATA_WORDS));
     lan_read_ft(opts, lan::RX_FIFO_INF)
         .then(&status_and_data.or(&TracePred::eps()))
         .named("recv_error")
@@ -781,6 +776,68 @@ mod tests {
         ));
         assert!(!good_hl_trace(opts).matches(&trace));
         assert!(!good_hl_trace(opts).matches_prefix(&trace));
+    }
+
+    /// `t` with `n` copies of `e` inserted at `at`.
+    fn spliced(t: &[MmioEvent], at: usize, e: MmioEvent, n: usize) -> Vec<MmioEvent> {
+        let mut out = t.to_vec();
+        out.splice(at..at, std::iter::repeat_n(e, n));
+        out
+    }
+
+    #[test]
+    fn a_flag_wait_past_its_poll_budget_is_refused_at_that_read() {
+        // Busy reads spliced into the first TXDATA flag-wait of a clean
+        // run: up to MAX_POLLS of them are a timeout poll the driver can
+        // issue, one more is not, and the monitor must say so at exactly
+        // that read.
+        let opts = DriverOptions::default();
+        let (trace, _) = run_system(opts, &[], 1);
+        let busy = MmioEvent::load(layout::SPI_TXDATA, layout::SPI_FLAG);
+        let wait = trace
+            .iter()
+            .position(|e| e.kind == riscv_spec::MmioEventKind::Load && e.addr == busy.addr)
+            .expect("a TXDATA flag-wait");
+        let already = trace[wait..].iter().take_while(|e| **e == busy).count();
+        let spec = good_hl_trace(opts);
+        let full = spliced(&trace, wait, busy, MAX_POLLS - already);
+        assert_eq!(spec.longest_matching_prefix(&full), full.len());
+        let over = spliced(&trace, wait, busy, MAX_POLLS + 1 - already);
+        assert_eq!(spec.longest_matching_prefix(&over), wait + MAX_POLLS);
+    }
+
+    #[test]
+    fn a_drain_past_its_budget_is_refused_at_that_read() {
+        // The first `spi_drain` of a recovery run — the RXDATA reads
+        // between a failed attempt's last chip-select release and the
+        // next attempt's — padded with copies of its first read: the
+        // drain predicate takes SPI_DRAIN_BUDGET + 1 reads and refuses
+        // the next one. (Inside `goodHlTrace` the retry chain can also
+        // split one run of reads across the drains of several empty
+        // failed attempts, so the bound is checked on `spi_drain` itself.)
+        let opts = DriverOptions::default();
+        let plan = devices::FaultPlan {
+            byte_test_junk_reads: 80,
+            ..devices::FaultPlan::default()
+        };
+        let (trace, _) = run_faulted(opts, &plan, &[], 0);
+        let is_rx = |e: &MmioEvent| {
+            e.kind == riscv_spec::MmioEventKind::Load && e.addr == layout::SPI_RXDATA
+        };
+        let start = trace
+            .windows(2)
+            .position(|w| w[0].addr == layout::SPI_CSMODE && w[0].value & 1 == 0 && is_rx(&w[1]))
+            .expect("a drain after a failed attempt")
+            + 1;
+        let len = trace[start..].iter().take_while(|e| is_rx(e)).count();
+        let drain = &trace[start..start + len];
+        let budget = layout::SPI_DRAIN_BUDGET as usize + 1;
+        let spi_drain = drain_reads();
+        assert!(spi_drain.matches(drain), "the recorded drain");
+        let full = spliced(drain, 0, drain[0], budget - len);
+        assert!(spi_drain.matches(&full));
+        let over = spliced(drain, 0, drain[0], budget + 1 - len);
+        assert_eq!(spi_drain.longest_matching_prefix(&over), budget);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! | `P +++ Q`    | [`TracePred::then`]    |
 //! | `P \|\|\| Q` | [`TracePred::or`]      |
 //! | `P ^*`       | [`TracePred::star`]    |
+//! | `P ^{0..n}`  | [`TracePred::at_most`] |
 //! | `EX b, P b`  | [`TracePred::ex_bool`] |
 //!
 //! Because trace predicates remain ordinary logical functions in the paper
@@ -22,7 +23,12 @@
 //! sequence it sits in — and its outgoing transitions are the atoms
 //! reachable from it without consuming an event. States are only built
 //! when a trace reaches them, because the unfolded automaton of a real
-//! specification is far too large to build up front.
+//! specification is far too large to build up front. Bounded loops
+//! (`P ^{0..n}`, the drivers' timeout polls) are not unfolded at all: the
+//! monitor is a counter automaton, whose states carry no iteration
+//! counts. Each live entry carries one counter per loop it sits inside,
+//! and each transition a guard (iterate only below the bound) and an
+//! update (exit, iterate, enter at one) on those counters.
 //!
 //! The end-to-end theorem constrains *prefixes* of traces (the system may
 //! be mid-interaction when observed). A monitor accepts a prefix while its
@@ -33,7 +39,7 @@
 
 use obs::fx::FxBuild;
 use riscv_spec::MmioEvent;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -70,6 +76,13 @@ pub enum Node {
     Union(TracePred, TracePred),
     /// Zero or more repetitions (`^*`).
     Star(TracePred),
+    /// Zero to `max` repetitions (`^{0..max}`).
+    Repeat {
+        /// The repeated predicate.
+        body: TracePred,
+        /// The most repetitions a member has.
+        max: usize,
+    },
 }
 
 /// A set of I/O traces, built from regex-like combinators.
@@ -93,6 +106,7 @@ impl fmt::Debug for TracePred {
             Node::Concat(a, b) => write!(f, "({a:?} +++ {b:?})"),
             Node::Union(a, b) => write!(f, "({a:?} ||| {b:?})"),
             Node::Star(a) => write!(f, "({a:?})^*"),
+            Node::Repeat { body, max } => write!(f, "({body:?})^{{0..{max}}}"),
         }
     }
 }
@@ -144,6 +158,21 @@ impl TracePred {
     /// Zero or more repetitions — the paper's `^*`.
     pub fn star(&self) -> TracePred {
         TracePred::mk(Node::Star(self.clone()))
+    }
+
+    /// Zero to `n` repetitions — a bounded loop, such as a driver's
+    /// timeout poll. The monitor counts the iterations instead of
+    /// unfolding them, so its state table does not grow with `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit in a `u32`.
+    pub fn at_most(&self, n: usize) -> TracePred {
+        assert!(u32::try_from(n).is_ok(), "bound {n} overflows u32");
+        TracePred::mk(Node::Repeat {
+            body: self.clone(),
+            max: n,
+        })
     }
 
     /// One or more repetitions.
@@ -198,12 +227,45 @@ impl TracePred {
     }
 }
 
-/// The continuation with nothing left to match.
+/// The control state with nothing left to match.
 const DONE: u32 = 0;
 
-/// The ε-closure of one monitor state: its outgoing transitions are
-/// `Monitor::edges[start..end]`, and `accepts` says whether the state can
-/// finish without consuming another event.
+/// A control state of a [`Monitor`]. Control states carry no iteration
+/// counts: those live in the live entries, so one control state serves
+/// every count of the bounded loops around it.
+#[derive(Clone, Copy)]
+enum Ctrl<'a> {
+    /// Nothing left: the trace may end here.
+    Done,
+    /// Match the node, then control state `rest`.
+    Then(&'a Node, u32),
+    /// The end of one iteration of the bounded loop entered at control
+    /// state `head` (a `Then(Node::Repeat, rest)` state): exit to `rest`,
+    /// or iterate again while the loop's count is below its bound.
+    Back(u32),
+}
+
+/// One transition of a closure. Consuming an event that satisfies `atom`
+/// leads to control state `to`. The entry's counters (one per enclosing
+/// bounded loop, outermost first) become the first `keep` of the old
+/// ones, the last of those incremented when `bump` is non-zero, followed
+/// by `enter` counts of one.
+#[derive(Clone, Copy)]
+struct Edge<'a> {
+    atom: &'a EventPred,
+    to: u32,
+    /// The loops the path did not exit.
+    keep: u32,
+    /// When non-zero, the path iterates the innermost kept loop again:
+    /// allowed only while its count is below `bump`, its bound.
+    bump: u32,
+    /// The loops the path entered, each at its first iteration.
+    enter: u32,
+}
+
+/// The ε-closure of one control state: its transitions are
+/// `Monitor::edges[start..end]`, and `accepts` says whether it can finish
+/// without consuming another event.
 #[derive(Clone, Copy)]
 struct Closure {
     start: u32,
@@ -211,36 +273,65 @@ struct Closure {
     accepts: bool,
 }
 
+/// A live entry: control state `state`, whose counters are
+/// `counts[at..at + depth[state]]`.
+#[derive(Clone, Copy)]
+struct Entry {
+    state: u32,
+    at: u32,
+}
+
 /// A streaming checker for one [`TracePred`]: feed it a trace one event at
 /// a time and it says, after each event, whether the trace so far is still
 /// a prefix of a member.
 ///
-/// States are hash-consed continuations `(node, rest)` — "match `node`,
-/// then continuation `rest`" — numbered by `u32`. A state's ε-closure (the
-/// atoms it can consume next and where each leads) is computed the first
+/// It is a counter automaton. Control states are hash-consed
+/// continuations `(node, rest)` — "match `node`, then continuation
+/// `rest`" — numbered by `u32`. A bounded loop `P ^{0..n}` is one control
+/// state however large `n` is; the iteration count of every loop an
+/// entry sits inside is a counter carried by the live entry. A control
+/// state's ε-closure (the atoms it can consume next, where each leads,
+/// and the counter guard and update on the way) is computed the first
 /// time a trace reaches it and kept for the monitor's lifetime, so a
 /// second trace through the same interactions reuses the states the first
-/// one built. The live set is a sorted, deduplicated list of states.
+/// one built.
+///
+/// The live set keeps, per control state, only counter vectors that no
+/// other vector of that state dominates (is no larger in every count).
+/// Guards only bound counts from above and updates are monotone, so a
+/// dominated entry allows no continuation its dominator does not:
+/// dropping it changes no verdict. This is what keeps the live set small
+/// when one run of reads can be split across nested or consecutive loops
+/// in many ways — each split is a different counter vector of the same
+/// control states.
+///
+/// A closure never iterates a loop twice without consuming an event: a
+/// path that comes back to the end of an iteration it started itself
+/// matched an empty body, and the same path without that iteration
+/// reaches the same control state with a smaller count. Dropping it keeps
+/// the language (a smaller count never allows less) and makes loops with
+/// nullable bodies terminate.
 ///
 /// Build one monitor per check: the state table grows with every new
 /// path a trace takes and is dropped with the monitor.
 pub struct Monitor<'a> {
     root: u32,
-    /// State `s` is `conts[s].0` followed by state `conts[s].1`; state
-    /// [`DONE`] has no node.
-    conts: Vec<(Option<&'a Node>, u32)>,
+    states: Vec<Ctrl<'a>>,
+    /// Counters per control state: the bounded loops it sits inside.
+    depth: Vec<u32>,
     ids: HashMap<(usize, u32), u32, FxBuild>,
     closures: Vec<Option<Closure>>,
-    /// Transitions of every computed closure: an atom and the state that
-    /// consuming it leads to.
-    edges: Vec<(&'a EventPred, u32)>,
-    live: Vec<u32>,
-    next: Vec<u32>,
-    /// Scratch for closure computation: states visited in the current
-    /// closure carry the current `epoch`.
-    visited: Vec<u32>,
-    epoch: u32,
-    stack: Vec<u32>,
+    /// Transitions of every computed closure.
+    edges: Vec<Edge<'a>>,
+    live: Vec<Entry>,
+    /// The live entries' counters.
+    counts: Vec<u32>,
+    next: Vec<Entry>,
+    next_counts: Vec<u32>,
+    /// Scratch for closure computation: `(state, loops exited, bump)`
+    /// path summaries, to visit and visited.
+    stack: Vec<(u32, u32, u32)>,
+    seen: HashSet<(u32, u32, u32), FxBuild>,
 }
 
 impl<'a> Monitor<'a> {
@@ -248,18 +339,20 @@ impl<'a> Monitor<'a> {
     pub fn new(spec: &'a TracePred) -> Monitor<'a> {
         let mut m = Monitor {
             root: DONE,
-            conts: vec![(None, DONE)],
+            states: vec![Ctrl::Done],
+            depth: vec![0],
             ids: HashMap::default(),
             closures: vec![None],
             edges: Vec::new(),
             live: Vec::new(),
+            counts: Vec::new(),
             next: Vec::new(),
-            visited: vec![0],
-            epoch: 0,
+            next_counts: Vec::new(),
             stack: Vec::new(),
+            seen: HashSet::default(),
         };
         m.root = m.intern(spec, DONE);
-        m.live.push(m.root);
+        m.reset();
         m
     }
 
@@ -267,7 +360,11 @@ impl<'a> Monitor<'a> {
     /// far.
     fn reset(&mut self) {
         self.live.clear();
-        self.live.push(self.root);
+        self.counts.clear();
+        self.live.push(Entry {
+            state: self.root,
+            at: 0,
+        });
     }
 
     /// Consumes one event. Returns whether the trace so far is still a
@@ -276,17 +373,53 @@ impl<'a> Monitor<'a> {
     /// trace.
     pub fn step(&mut self, e: &MmioEvent) -> bool {
         self.next.clear();
+        self.next_counts.clear();
         for i in 0..self.live.len() {
-            let c = self.closure(self.live[i]);
-            for &(atom, to) in &self.edges[c.start as usize..c.end as usize] {
-                if atom.test(e) {
-                    self.next.push(to);
+            let Entry { state, at } = self.live[i];
+            let c = self.closure(state);
+            let from = &self.counts[at as usize..];
+            for edge in &self.edges[c.start as usize..c.end as usize] {
+                let keep = edge.keep as usize;
+                if (edge.bump != 0 && from[keep - 1] >= edge.bump) || !edge.atom.test(e) {
+                    continue;
                 }
+                let to = self.next_counts.len();
+                self.next_counts.extend_from_slice(&from[..keep]);
+                if edge.bump != 0 {
+                    self.next_counts[to + keep - 1] += 1;
+                }
+                self.next_counts.resize(to + keep + edge.enter as usize, 1);
+                self.next.push(Entry {
+                    state: edge.to,
+                    at: as_u32(to),
+                });
             }
         }
-        self.next.sort_unstable();
-        self.next.dedup();
+        let (depth, counts) = (&self.depth, &self.next_counts);
+        let key = |e: &Entry| {
+            let at = e.at as usize;
+            (e.state, &counts[at..at + depth[e.state as usize] as usize])
+        };
+        self.next.sort_unstable_by(|a, b| key(a).cmp(&key(b)));
+        // Keep the entries no other entry of their control state
+        // dominates. Sorted, a dominating vector comes first.
+        let (mut kept, mut group) = (0, 0);
+        for i in 0..self.next.len() {
+            let (state, v) = key(&self.next[i]);
+            if kept == 0 || self.next[kept - 1].state != state {
+                group = kept;
+            }
+            let dominated = self.next[group..kept]
+                .iter()
+                .any(|k| key(k).1.iter().zip(v).all(|(x, y)| x <= y));
+            if !dominated {
+                self.next[kept] = self.next[i];
+                kept += 1;
+            }
+        }
+        self.next.truncate(kept);
         std::mem::swap(&mut self.live, &mut self.next);
+        std::mem::swap(&mut self.counts, &mut self.next_counts);
         !self.live.is_empty()
     }
 
@@ -300,59 +433,113 @@ impl<'a> Monitor<'a> {
 
     /// Whether the events consumed so far form a complete member.
     pub fn accepting(&mut self) -> bool {
-        (0..self.live.len()).any(|i| self.closure(self.live[i]).accepts)
+        (0..self.live.len()).any(|i| self.closure(self.live[i].state).accepts)
     }
 
-    /// The state "match `p`, then state `rest`".
-    fn intern(&mut self, p: &'a TracePred, rest: u32) -> u32 {
-        let node: &'a Node = &p.node;
-        let key = (std::ptr::from_ref(node) as usize, rest);
+    /// Adds control state `ctrl`, known by `key`, with `depth` counters.
+    fn add(&mut self, key: (usize, u32), ctrl: Ctrl<'a>, depth: u32) -> u32 {
         if let Some(&s) = self.ids.get(&key) {
             return s;
         }
-        let s = u32::try_from(self.conts.len()).expect("monitor state table overflows u32");
-        self.conts.push((Some(node), rest));
+        let s = u32::try_from(self.states.len()).expect("monitor state table overflows u32");
+        self.states.push(ctrl);
+        self.depth.push(depth);
         self.closures.push(None);
-        self.visited.push(0);
         self.ids.insert(key, s);
         s
     }
 
-    /// The ε-closure of state `s`, computed on first use.
+    /// The control state "match `p`, then state `rest`".
+    fn intern(&mut self, p: &'a TracePred, rest: u32) -> u32 {
+        let node: &'a Node = &p.node;
+        let key = (std::ptr::from_ref(node) as usize, rest);
+        self.add(key, Ctrl::Then(node, rest), self.depth[rest as usize])
+    }
+
+    /// The end-of-iteration state of the loop entered at `head`. Its key
+    /// pairs `head` with address 0, which no node has.
+    fn back(&mut self, head: u32) -> u32 {
+        self.add((0, head), Ctrl::Back(head), self.depth[head as usize] + 1)
+    }
+
+    /// The ε-closure of control state `s`, computed on first use.
+    ///
+    /// It walks path summaries `(state, exited, bump)`: how many of `s`'s
+    /// loops the path has exited, and the bound of the loop it iterated
+    /// again (0 for none). The loops entered since are the counters
+    /// `state` has beyond the ones kept.
     fn closure(&mut self, s: u32) -> Closure {
         if let Some(c) = self.closures[s as usize] {
             return c;
         }
-        self.epoch += 1;
+        let depth = self.depth[s as usize];
         let start = self.edges.len();
         let mut accepts = false;
-        self.stack.push(s);
-        while let Some(c) = self.stack.pop() {
-            if std::mem::replace(&mut self.visited[c as usize], self.epoch) == self.epoch {
+        self.seen.clear();
+        self.stack.push((s, 0, 0));
+        while let Some(item @ (c, exited, bump)) = self.stack.pop() {
+            if !self.seen.insert(item) {
                 continue;
             }
-            let (node, rest) = self.conts[c as usize];
-            match node {
-                None => accepts = true,
-                Some(Node::Eps) => self.stack.push(rest),
-                Some(Node::Atom(p)) => self.edges.push((p, rest)),
-                Some(Node::Concat(a, b)) => {
-                    let after_a = self.intern(b, rest);
-                    let first = self.intern(a, after_a);
-                    self.stack.push(first);
-                }
-                Some(Node::Union(a, b)) => {
-                    let (x, y) = (self.intern(a, rest), self.intern(b, rest));
-                    self.stack.extend([x, y]);
-                }
-                Some(Node::Star(a)) => {
-                    // Each iteration of the body returns to this state.
-                    let body = self.intern(a, c);
-                    self.stack.extend([rest, body]);
+            let keep = depth - exited;
+            match self.states[c as usize] {
+                Ctrl::Done => accepts = true,
+                Ctrl::Then(node, rest) => match node {
+                    Node::Eps => self.stack.push((rest, exited, bump)),
+                    Node::Atom(p) => self.edges.push(Edge {
+                        atom: p,
+                        to: rest,
+                        keep,
+                        bump,
+                        enter: self.depth[rest as usize] - keep,
+                    }),
+                    Node::Concat(a, b) => {
+                        let after_a = self.intern(b, rest);
+                        let first = self.intern(a, after_a);
+                        self.stack.push((first, exited, bump));
+                    }
+                    Node::Union(a, b) => {
+                        let (x, y) = (self.intern(a, rest), self.intern(b, rest));
+                        self.stack.extend([(x, exited, bump), (y, exited, bump)]);
+                    }
+                    Node::Star(a) => {
+                        // Each iteration of the body returns to this state.
+                        let body = self.intern(a, c);
+                        self.stack
+                            .extend([(rest, exited, bump), (body, exited, bump)]);
+                    }
+                    Node::Repeat { body, max } => {
+                        // Skip the loop, or start its first iteration:
+                        // states inside the body sit under `back`, which
+                        // adds the loop's counter (entered at one).
+                        self.stack.push((rest, exited, bump));
+                        if *max > 0 {
+                            let back = self.back(c);
+                            let first = self.intern(body, back);
+                            self.stack.push((first, exited, bump));
+                        }
+                    }
+                },
+                Ctrl::Back(head) => {
+                    // This loop's counter is the last one. Unless the
+                    // path kept it untouched from the source entry, the
+                    // path started the iteration ending here itself, so
+                    // the body matched ε: drop it (see `Monitor`).
+                    // Otherwise exit the loop, or iterate again under the
+                    // guard of the loop's bound.
+                    if bump != 0 || self.depth[c as usize] > keep {
+                        continue;
+                    }
+                    let Ctrl::Then(Node::Repeat { body, max }, rest) = self.states[head as usize]
+                    else {
+                        unreachable!("a loop end belongs to a Repeat state");
+                    };
+                    let again = self.intern(body, c);
+                    self.stack
+                        .extend([(rest, exited + 1, 0), (again, exited, as_u32(*max))]);
                 }
             }
         }
-        let as_u32 = |n: usize| u32::try_from(n).expect("monitor edge table overflows u32");
         let closure = Closure {
             start: as_u32(start),
             end: as_u32(self.edges.len()),
@@ -361,6 +548,10 @@ impl<'a> Monitor<'a> {
         self.closures[s as usize] = Some(closure);
         closure
     }
+}
+
+fn as_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("monitor table overflows u32")
 }
 
 /// Atom: an MMIO load at `addr` with any value.
@@ -517,10 +708,10 @@ mod tests {
             .collect();
         let mut m = Monitor::new(&p);
         assert_eq!(m.first_violation(&t), None);
-        let built = m.conts.len();
+        let built = m.states.len();
         assert!(built < 16, "{built} states for a 3-event loop");
         assert_eq!(m.first_violation(&t), None);
-        assert_eq!(m.conts.len(), built, "a repeated trace builds no state");
+        assert_eq!(m.states.len(), built, "a repeated trace builds no state");
     }
 
     #[test]
@@ -554,5 +745,55 @@ mod tests {
         let q = TracePred::any([ld(1), ld(2)]);
         assert!(q.matches(&[l(2, 0)]));
         assert!(!q.matches(&[l(3, 0)]));
+    }
+
+    #[test]
+    fn bounded_repeat_builds_the_same_states_whatever_its_bound() {
+        let body = ld(0x1).then(&st(0x2));
+        let t: Vec<E> = (0..5).flat_map(|i| [l(0x1, i), s(0x2, i)]).collect();
+        let built = |n| {
+            let p = body.at_most(n);
+            let mut m = Monitor::new(&p);
+            assert_eq!(m.first_violation(&t), None);
+            assert!(m.accepting());
+            m.states.len()
+        };
+        assert_eq!(built(10), built(10_000));
+    }
+
+    #[test]
+    fn bounded_repeat_dies_at_the_iteration_past_its_bound() {
+        let body = ld(0x1).then(&st(0x2));
+        for n in [0, 1, 3, 66] {
+            let p = body.at_most(n);
+            let t: Vec<E> = (0..=n as u32)
+                .flat_map(|i| [l(0x1, i), s(0x2, i)])
+                .collect();
+            assert!(p.matches(&t[..2 * n]), "{n} iterations are a member");
+            assert_eq!(
+                p.longest_matching_prefix(&t),
+                2 * n,
+                "iteration {} of {n} is refused at its first event",
+                n + 1
+            );
+        }
+    }
+
+    #[test]
+    fn bounded_repeat_of_nullable_bodies_terminates() {
+        let a = ld(0xA);
+        let t = [l(0xA, 0); 6];
+        let p = TracePred::eps().or(&a).at_most(3);
+        assert!(p.matches(&[]));
+        assert!(p.matches(&t[..3]));
+        assert_eq!(p.longest_matching_prefix(&t), 3);
+        let q = a.star().at_most(2);
+        assert!(q.matches(&[]));
+        assert!(q.matches(&t));
+        assert!(!q.matches_prefix(&[l(0xB, 0)]));
+        // Nested: ((ε | a)^{0..2})^{0..2} holds at most four a's.
+        let r = TracePred::eps().or(&a).at_most(2).at_most(2);
+        assert!(r.matches(&t[..4]));
+        assert_eq!(r.longest_matching_prefix(&t), 4);
     }
 }

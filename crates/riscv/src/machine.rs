@@ -301,11 +301,6 @@ impl<M: MmioHandler> SpecMachine<M> {
         self.icache.set_enabled(enabled);
     }
 
-    /// Whether the predecoded instruction cache is active.
-    pub fn icache_enabled(&self) -> bool {
-        self.icache.enabled()
-    }
-
     /// Drops every predecoded entry. Must be called after mutating `mem`
     /// directly (i.e. not through the machine's own store path), which the
     /// cache cannot observe; [`SpecMachine::load_program`] does this
@@ -461,11 +456,6 @@ impl<M: MmioHandler> SpecMachine<M> {
         self.flush_ticks();
         self.stats.retire_mix(&mix);
         outcome
-    }
-
-    /// Decodes the instruction at the current pc without executing it.
-    pub fn current_instruction(&self) -> Option<Instruction> {
-        self.mem.load_u32(self.pc).ok().map(decode)
     }
 }
 

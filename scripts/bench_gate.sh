@@ -11,6 +11,10 @@
 #     hardware models' throughput, each divided by the cached spec
 #     machine's (machine-independent ratios), must not fall more than the
 #     tolerance below the baseline's.
+#   * BENCH_spec_throughput.json — the trace monitor's events matched per
+#     second (cold monitor per fault-sweep seed), divided by the cached
+#     spec machine's steps per second, must not fall more than the
+#     tolerance below the baseline's.
 #
 # Absolute seconds are deliberately NOT gated by default — they measure
 # the runner, not the code; the ratios above move only when the code does.
@@ -100,6 +104,23 @@ if fresh is not None and base is not None:
         else:
             print(f"bench_gate: spec_throughput ok — {model} at {fresh_hw[model]:.3f}x "
                   f"the cached spec machine (baseline {base_ratio:.3f}x)")
+
+# --- spec_throughput: the trace monitor's speed relative to the cached
+# spec machine, measured in the same interleaved rounds.
+def match_ratio(doc):
+    return doc["data"]["matcher"]["vs_cached_spec"]
+
+
+if fresh is not None and base is not None:
+    fresh_m, base_m = match_ratio(fresh), match_ratio(base)
+    floor = base_m * (1 - tol)
+    if fresh_m < floor:
+        failures.append(
+            f"spec_throughput: trace monitor at {fresh_m:.4f}x the cached spec machine "
+            f"fell below {floor:.4f}x (baseline {base_m:.4f}x, tolerance {tol:.0%})")
+    else:
+        print(f"bench_gate: spec_throughput ok — trace monitor at {fresh_m:.4f}x "
+              f"the cached spec machine (baseline {base_m:.4f}x)")
 
 if failures:
     print()

@@ -38,6 +38,14 @@ def spec_throughput():
         f"decode-cache hit rate {100 * hits / (hits + misses):.2f}% "
         f"({hits} hits, {misses} misses).",
     ]
+    m = data["matcher"]
+    lines += [
+        "",
+        f"Trace monitor, cold per seed, on the quick-pass traces of fault-sweep "
+        f"plan seeds 0–{m['seeds'] - 1} (both models, {m['events']} events): "
+        f"**{m['events_per_sec'] / 1e6:.2f} Mevents/s**, "
+        f"{m['vs_cached_spec']:.4f}× the cached spec machine's steps/s.",
+    ]
     return "\n".join(lines)
 
 

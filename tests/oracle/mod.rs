@@ -8,6 +8,10 @@
 //! the same table. `longest_matching_prefix` binary-searches over full
 //! prefix checks, which is valid because prefix acceptance is monotone.
 //! Like the monitor, prefix answers assume every atom is satisfiable.
+//!
+//! A bounded repetition `P ^{0..n}` is decided through its unrolled form,
+//! `ε ||| P +++ (ε ||| P +++ …)` nested `n` deep: the definition the
+//! monitor's counters must agree with.
 
 use lightbulb_system::obs::fx::FxBuild;
 use lightbulb_system::proglogic::trace::{Node, TracePred};
@@ -57,6 +61,9 @@ struct Dp<'t> {
     prefix: HashMap<(usize, usize), bool, FxBuild>,
     /// Minimum and maximum (`None` = unbounded) member length per node.
     bounds: HashMap<usize, (usize, Option<usize>), FxBuild>,
+    /// The unrolled form of each `Repeat` node, kept alive so its nodes'
+    /// addresses stay valid keys.
+    unrolled: HashMap<usize, TracePred, FxBuild>,
 }
 
 impl<'t> Dp<'t> {
@@ -66,7 +73,25 @@ impl<'t> Dp<'t> {
             ends: HashMap::default(),
             prefix: HashMap::default(),
             bounds: HashMap::default(),
+            unrolled: HashMap::default(),
         }
+    }
+
+    /// `body ^{0..max}` as nested unions, built once per node.
+    fn unroll(&mut self, p: &TracePred) -> TracePred {
+        let Node::Repeat { body, max } = p.node() else {
+            unreachable!("only Repeat nodes unroll");
+        };
+        self.unrolled
+            .entry(key(p))
+            .or_insert_with(|| {
+                let mut acc = TracePred::eps();
+                for _ in 0..*max {
+                    acc = body.then(&acc).or(&TracePred::eps());
+                }
+                acc
+            })
+            .clone()
     }
 
     fn bounds(&mut self, p: &TracePred) -> (usize, Option<usize>) {
@@ -85,6 +110,10 @@ impl<'t> Dp<'t> {
                 (amin.min(bmin), amax.zip(bmax).map(|(x, y)| x.max(y)))
             }
             Node::Star(a) => (0, (self.bounds(a).1 == Some(0)).then_some(0)),
+            Node::Repeat { .. } => {
+                let u = self.unroll(p);
+                self.bounds(&u)
+            }
         };
         self.bounds.insert(key(p), b);
         b
@@ -139,6 +168,10 @@ impl<'t> Dp<'t> {
                 }
                 seen.into_iter().collect()
             }
+            Node::Repeat { .. } => {
+                let u = self.unroll(p);
+                self.ends(&u, lo).to_vec()
+            }
         };
         let rc = Rc::new(result);
         self.ends.insert((key(p), lo), Rc::clone(&rc));
@@ -185,6 +218,10 @@ impl<'t> Dp<'t> {
                     }
                 }
                 ok
+            }
+            Node::Repeat { .. } => {
+                let u = self.unroll(p);
+                self.p(&u, lo)
             }
         };
         self.prefix.insert((key(p), lo), r);
