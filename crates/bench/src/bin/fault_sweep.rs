@@ -12,19 +12,14 @@
 //! range swept twice (and with different shard counts) must publish
 //! byte-identical counter reports.
 //!
-//! The sweep is crash-resilient: per-seed panics are caught and reported,
-//! transient budget exhaustion retries with escalating budgets, and
-//! `--checkpoint`/`--resume` make a killed run continue where it stopped
-//! with a byte-identical final report. Failing seeds are triaged
+//! Per-seed panics are caught and reported, and transient budget
+//! exhaustion retries with escalating budgets. Failing seeds are triaged
 //! automatically — delta-debugged to a 1-minimal fault plan with a named
 //! divergence site, written as `TRIAGE_fault_sweep_seed<N>.json`.
 //!
 //! Flags:
 //! * `--seeds N` (default 1000), `--shards N` (default: one per hardware
 //!   thread), `--json`;
-//! * `--checkpoint PATH` (write progress atomically; default cadence
-//!   every 64 seeds, `--checkpoint-every N` to change);
-//! * `--resume PATH` (continue a killed sweep from its checkpoint);
 //! * `--triage-dir DIR` (where triage artifacts go; default: the
 //!   workspace root);
 //! * `--triage-demo` (run a planted unrecoverable plan through the full
@@ -40,10 +35,11 @@ use std::time::Instant;
 use bench::{counters_json, emit_json, json_mode, render_table, workspace_root};
 use lightbulb_system::devices::FaultPlan;
 use lightbulb_system::integration::differential::{
-    default_shards, fault_check_plan, fault_sweep, fault_sweep_with, CheckpointConfig,
-    FaultSweepConfig, FaultSweepOptions, RetryPolicy, SweepOptions,
+    default_shards, fault_check_plan, fault_sweep, fault_sweep_with, FaultSweepConfig,
+    FaultSweepOptions,
 };
-use lightbulb_system::integration::{build_image, triage_plan, SweepCheckpoint};
+use lightbulb_system::integration::triage::write_atomic;
+use lightbulb_system::integration::{build_image, triage_plan};
 use obs::json::Value;
 
 fn arg_value(name: &str) -> Option<u64> {
@@ -93,9 +89,7 @@ fn run_triage_demo(triage_dir: &std::path::Path) -> ExitCode {
     let original = report.original.atoms().len();
     let minimal = report.minimal.atoms().len();
     let path = triage_dir.join("TRIAGE_fault_sweep_demo.json");
-    if let Err(e) =
-        lightbulb_system::integration::checkpoint::write_atomic(&path, &report.to_json().render())
-    {
+    if let Err(e) = write_atomic(&path, &report.to_json().render()) {
         eprintln!("triage demo: could not write {}: {e}", path.display());
         return ExitCode::from(2);
     }
@@ -207,49 +201,9 @@ fn main() -> ExitCode {
     let shards = arg_value("--shards").unwrap_or(default_shards() as u64) as usize;
     let cfg = FaultSweepConfig::default();
 
-    // Checkpoint/resume plumbing. A resume without an explicit
-    // --checkpoint keeps writing to the file it resumed from.
-    let resume_path = arg_str("--resume").map(PathBuf::from);
-    let checkpoint_path = arg_str("--checkpoint")
-        .map(PathBuf::from)
-        .or_else(|| resume_path.clone());
-    let resume = match &resume_path {
-        Some(path) => match SweepCheckpoint::load(path) {
-            Ok(cp) => {
-                // Validate here, so a wrong --seeds/--shards refuses
-                // cleanly instead of panicking inside the sweep.
-                if let Err(e) = cp.validate(0..seeds, shards, Some("fault_sweep")) {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "resuming from {}: {} of {} seeds already done",
-                    path.display(),
-                    cp.completed(),
-                    cp.total
-                );
-                Some(cp)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
     let opts = FaultSweepOptions {
-        sweep: SweepOptions {
-            retry: RetryPolicy::escalating(),
-            checkpoint: checkpoint_path.as_ref().map(|path| CheckpointConfig {
-                path: path.clone(),
-                every: arg_value("--checkpoint-every").unwrap_or(64).max(1),
-                tag: "fault_sweep".to_string(),
-            }),
-            resume,
-            cancel: None,
-        },
-        triage: 3,
         triage_dir: Some(triage_dir),
+        ..FaultSweepOptions::default()
     };
 
     let t0 = Instant::now();
@@ -293,7 +247,6 @@ fn main() -> ExitCode {
             .field("panicked", Value::UInt(report.panicked.len() as u64))
             .field("retried_seeds", Value::UInt(retried))
             .field("recovered_seeds", Value::UInt(recovered))
-            .field("resumed", Value::Bool(resume_path.is_some()))
             .field("seconds", Value::Float(secs))
             .field("seeds_per_sec", Value::Float(seeds as f64 / secs))
             .field("frames_per_run", Value::UInt(cfg.frames as u64))

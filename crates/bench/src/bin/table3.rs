@@ -5,56 +5,20 @@
 //! specifications, the platform layout, the device models (which play the
 //! role of the paper's HDL semantics + physical hardware), and the
 //! checking substrate itself. Line counts are measured live from the
-//! workspace.
+//! workspace; `BENCH_table3.json` is the recorded run.
 
-use bench::{count_file, emit_json, json_mode, render_table, table_json, workspace_root};
+use bench::{
+    count_file, emit_json, json_mode, render_table, table_json, workspace_root, TABLE3_ROWS,
+};
 use obs::json::Value;
 
 fn main() {
     let root = workspace_root();
     let count = |rel: &str| count_file(&root.join(rel));
 
-    let rows = vec![
-        (
-            "Lightbulb app + driver trace spec",
-            "crates/lightbulb/src/spec.rs",
-            "lightbulb app (27) + LAN9250 (77) + SPI (30) + outputs (10) = 144",
-        ),
-        (
-            "Trace predicate notations",
-            "crates/proglogic/src/trace.rs",
-            "trace predicate notations (25)",
-        ),
-        (
-            "Platform memory map",
-            "crates/lightbulb/src/layout.rs",
-            "(folded into driver specs in the paper)",
-        ),
-        (
-            "ISA semantics (execute)",
-            "crates/riscv/src/execute.rs",
-            "(riscv-coq, excluded from the paper's count)",
-        ),
-        (
-            "Hardware substrate (kami fifo)",
-            "crates/kami/src/fifo.rs",
-            "semantics of Kami HDL (~400), spread across",
-        ),
-        (
-            "Hardware substrate (kami mem)",
-            "crates/kami/src/mem.rs",
-            "  the kami crate's primitive modules",
-        ),
-        (
-            "Hardware substrate (kami module)",
-            "crates/kami/src/module.rs",
-            "",
-        ),
-    ];
-
     let mut table = Vec::new();
     let mut total = 0;
-    for (name, rel, paper) in &rows {
+    for (name, rel, paper) in TABLE3_ROWS {
         let loc = count(rel);
         total += loc.code;
         table.push(vec![

@@ -204,6 +204,27 @@ fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
 }
 
 #[test]
+fn table3_matches_its_record() {
+    let (doc, data) = doc_and_record("table3");
+    let records = array(&data, "rows");
+    let rows = body_rows(&block(&doc, "table3"));
+    assert_eq!(rows.len(), records.len(), "one table row per recorded row");
+    for (row, rec) in rows.iter().zip(records) {
+        let component = text(rec, "component");
+        assert_eq!(row[0], component);
+        assert_eq!(row[1].trim_matches('`'), text(rec, "file"), "{component}");
+        assert_quotes(&row[2], text(rec, "LoC").parse().expect("LoC"), component);
+        assert_eq!(
+            row[3],
+            text(rec, "paper's corresponding row"),
+            "{component}"
+        );
+    }
+    let total = rows.last().expect("a TOTAL row");
+    assert_quotes(&total[2], num(&data, "total_spec_loc"), "total_spec_loc");
+}
+
+#[test]
 fn table4_matches_its_record() {
     let (doc, data) = doc_and_record("table4");
     let records = array(&data, "rows");
@@ -366,4 +387,29 @@ fn table4_record_matches_live_count() {
         );
     }
     assert_eq!(records.len(), layers.len() + 2, "layers, tests/ and TOTAL");
+}
+
+#[test]
+fn table3_record_matches_live_count() {
+    let (_, data) = doc_and_record("table3");
+    let records = array(&data, "rows");
+    let root = workspace_root();
+    let stale = "BENCH_table3.json is stale: re-record it with \
+                 `cargo run --release -p bench --bin table3 -- --json > BENCH_table3.json`";
+    let mut total = 0;
+    for ((component, file, _), rec) in bench::TABLE3_ROWS.iter().zip(records) {
+        let code = bench::count_file(&root.join(file)).code;
+        total += code;
+        assert_eq!(text(rec, "component"), *component);
+        assert_eq!(text(rec, "file"), *file);
+        assert_eq!(text(rec, "LoC"), code.to_string(), "{file}: {stale}");
+    }
+    assert_eq!(
+        records.len(),
+        bench::TABLE3_ROWS.len() + 1,
+        "files and TOTAL"
+    );
+    let last = records.last().expect("a TOTAL row");
+    assert_eq!(text(last, "LoC"), total.to_string(), "TOTAL: {stale}");
+    assert_eq!(num(&data, "total_spec_loc"), f64::from(total), "{stale}");
 }

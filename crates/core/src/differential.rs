@@ -33,8 +33,6 @@ use riscv_spec::{Memory, MmioEvent, SpecMachine, StepOutcome};
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 
 /// Fuel for source-level runs.
 const SOURCE_FUEL: u64 = 4_000_000;
@@ -333,37 +331,17 @@ pub fn check_isa_consistency(prog: &Program, optimize: bool) -> Result<(), DiffE
 }
 
 /// The classified result of one seed, after panic isolation and retries.
-/// The engine folds these into the [`SweepReport`] aggregates; the enum is
-/// public so custom harnesses can pattern-match checkpoint/triage output.
-#[derive(Clone, Debug)]
-pub enum SeedOutcome {
+/// The engine folds these into the [`SweepReport`] aggregates.
+enum SeedOutcome {
     /// The check passed (possibly after retries).
-    Passed {
-        /// The seed that passed.
-        seed: u64,
-    },
+    Passed,
     /// Discarded as [`DiffError::SourceUb`] (outside every theorem).
-    Inconclusive {
-        /// The seed discarded.
-        seed: u64,
-        /// Why the run proves nothing.
-        reason: String,
-    },
+    Inconclusive,
     /// A genuine disagreement (transient errors already retried).
-    Failed {
-        /// The failing seed.
-        seed: u64,
-        /// What went wrong.
-        error: DiffError,
-    },
-    /// The check panicked; the panic was caught, the seed recorded, and
-    /// the rest of the sweep continued.
-    Panicked {
-        /// The seed whose check panicked.
-        seed: u64,
-        /// The panic payload (message), when it was a string.
-        payload: String,
-    },
+    Failed(DiffError),
+    /// The check panicked, with the panic payload (message); the rest of
+    /// the sweep continues.
+    Panicked(String),
 }
 
 /// How the sweep engine retries transiently-failing seeds
@@ -392,35 +370,6 @@ impl RetryPolicy {
     }
 }
 
-/// Knobs for [`resilient_sweep`] beyond the seed range and shard count.
-#[derive(Clone, Debug, Default)]
-pub struct SweepOptions {
-    /// Retry schedule for transient failures.
-    pub retry: RetryPolicy,
-    /// Write a [`crate::checkpoint::SweepCheckpoint`] to this path as the
-    /// sweep progresses.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Resume from a previously written checkpoint: completed seeds are
-    /// skipped and their recorded outcomes merged as if just computed.
-    pub resume: Option<crate::checkpoint::SweepCheckpoint>,
-    /// Cooperative cancellation: when set to `true` mid-sweep, every shard
-    /// stops at its next seed boundary, a final checkpoint is written, and
-    /// the report comes back with `interrupted = true`.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-}
-
-/// Where and how often checkpoints are written.
-#[derive(Clone, Debug)]
-pub struct CheckpointConfig {
-    /// Checkpoint file path (written atomically: temp file + rename).
-    pub path: std::path::PathBuf,
-    /// Write after every N completed seeds (across all shards).
-    pub every: u64,
-    /// Workload tag recorded in the file; resume refuses a tag mismatch so
-    /// a checkpoint can never silently resume a different sweep.
-    pub tag: String,
-}
-
 /// The outcome of a sharded seed sweep ([`parallel_sweep`],
 /// [`resilient_sweep`]).
 #[derive(Clone, Debug, Default)]
@@ -446,11 +395,6 @@ pub struct SweepReport {
     pub start: u64,
     /// Seeds per shard (the last shard may run fewer).
     pub chunk: u64,
-    /// True when the sweep was cancelled before covering every seed; the
-    /// checkpoint (if configured) holds the exact resume point.
-    pub interrupted: bool,
-    /// Path of the last checkpoint written, for error messages.
-    pub checkpoint_path: Option<String>,
     /// Shrunken counterexamples for failing seeds (filled by
     /// [`fault_sweep_with`] when triage is enabled).
     pub triage: Vec<crate::triage::TriageSummary>,
@@ -465,19 +409,17 @@ impl SweepReport {
             .unwrap_or(0) as usize
     }
 
-    /// True when nothing failed, nothing panicked, and the sweep ran to
-    /// completion.
+    /// True when nothing failed and nothing panicked.
     pub fn is_clean(&self) -> bool {
-        self.failures.is_empty() && self.panicked.is_empty() && !self.interrupted
+        self.failures.is_empty() && self.panicked.is_empty()
     }
 
     /// Panics with the first failing seed — and the shard it ran in — if
     /// any: the sweep analogue of `Result::unwrap` for test harnesses.
     /// The message carries everything a reproduction needs: the one-liner
-    /// seed-range repro, the checkpoint path when one was written, and the
-    /// triage summaries (minimal plan size + divergence site) when
-    /// shrinking ran. Panicked seeds and interrupted sweeps fail too —
-    /// a sweep that did not cover its range proves nothing.
+    /// seed-range repro and the triage summaries (minimal plan size +
+    /// divergence site) when shrinking ran. Panicked seeds fail too — a
+    /// sweep that did not check its whole range proves nothing.
     pub fn expect_clean(&self, name: &str) {
         if self.is_clean() {
             return;
@@ -503,13 +445,6 @@ impl SweepReport {
                 self.shard_of(*seed),
                 self.shards,
             );
-        } else {
-            let _ = write!(
-                msg,
-                "{name}: sweep interrupted after {} of {} seeds",
-                self.conclusive + self.inconclusive,
-                self.total,
-            );
         }
         if !self.failures.is_empty() && !self.panicked.is_empty() {
             let _ = write!(msg, "; plus {} panicked seed(s)", self.panicked.len());
@@ -521,25 +456,20 @@ impl SweepReport {
                 t.seed, t.original_atoms, t.minimal_atoms, t.divergence
             );
         }
-        if let Some(path) = &self.checkpoint_path {
-            let _ = write!(msg, "\n  checkpoint: {path}");
-        }
         panic!("{msg}");
     }
 
-    /// The canonical JSON rendering of the report (`sweep-report/v1`).
+    /// The canonical JSON rendering of the report (`sweep-report/v2`).
     /// Two sweeps over the same seeds with the same check render
-    /// byte-identically, regardless of shard count and regardless of
-    /// whether either was interrupted and resumed — the property the
-    /// checkpoint tests pin down. `checkpoint_path` is deliberately
-    /// excluded: it describes how the sweep was driven, not what it found.
+    /// byte-identically at the same shard count. Across shard counts only
+    /// the fields that describe the split differ: `shards`, `chunk` and
+    /// the `core.diff.shards` counter.
     pub fn to_json(&self) -> Value {
         Value::obj()
-            .field("schema", Value::Str("sweep-report/v1".into()))
+            .field("schema", Value::Str("sweep-report/v2".into()))
             .field("total", Value::UInt(self.total))
             .field("conclusive", Value::UInt(self.conclusive))
             .field("inconclusive", Value::UInt(self.inconclusive))
-            .field("interrupted", Value::Bool(self.interrupted))
             .field(
                 "failures",
                 Value::Arr(
@@ -548,7 +478,7 @@ impl SweepReport {
                         .map(|(seed, e)| {
                             Value::obj()
                                 .field("seed", Value::UInt(*seed))
-                                .field("error", crate::checkpoint::error_to_json(e))
+                                .field("error", crate::triage::error_to_json(e))
                         })
                         .collect(),
                 ),
@@ -620,8 +550,8 @@ where
     G: Fn(u64) -> Program + Sync,
     C: Fn(&Program) -> Result<(), DiffError> + Sync,
 {
-    // No retries and no checkpointing, as befits a smoke-test sweep.
-    resilient_sweep(seeds, shards, &SweepOptions::default(), |seed, _, _| {
+    // No retries, as befits a smoke-test sweep.
+    resilient_sweep(seeds, shards, RetryPolicy::default(), |seed, _, _| {
         check(&generate(seed))
     })
 }
@@ -641,7 +571,7 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `catch_unwind` (a panicking seed is an outcome, not a poisoned sweep),
 /// and transient failures are retried up to the policy's attempt budget
 /// with the attempt index passed through so the check can escalate fuel.
-fn run_seed<C>(seed: u64, retry: &RetryPolicy, counters: &mut Counters, check: &C) -> SeedOutcome
+fn run_seed<C>(seed: u64, retry: RetryPolicy, counters: &mut Counters, check: &C) -> SeedOutcome
 where
     C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
 {
@@ -657,20 +587,15 @@ where
             Err(payload) => {
                 // Panics are deterministic here (no I/O, no wall-clock in
                 // the checks), so retrying would only panic again.
-                return SeedOutcome::Panicked {
-                    seed,
-                    payload: panic_payload(payload),
-                };
+                return SeedOutcome::Panicked(panic_payload(payload));
             }
             Ok(Ok(())) => {
                 if attempt > 0 {
                     counters.add("core.diff.recovered_seeds", 1);
                 }
-                return SeedOutcome::Passed { seed };
+                return SeedOutcome::Passed;
             }
-            Ok(Err(DiffError::SourceUb(reason))) => {
-                return SeedOutcome::Inconclusive { seed, reason }
-            }
+            Ok(Err(DiffError::SourceUb(_))) => return SeedOutcome::Inconclusive,
             Ok(Err(e)) if e.is_transient() && attempt + 1 < attempts => {
                 if attempt == 0 {
                     counters.add("core.diff.retried_seeds", 1);
@@ -678,136 +603,64 @@ where
                 counters.add("core.diff.retry_attempts", 1);
                 attempt += 1;
             }
-            Ok(Err(error)) => return SeedOutcome::Failed { seed, error },
+            Ok(Err(error)) => return SeedOutcome::Failed(error),
         }
     }
 }
 
-/// How [`resilient_sweep`] splits `seeds` over `shards` requested shards:
-/// `(shards used, seeds per shard)`. Seeds go out in contiguous chunks of
-/// equal size (the last may be short), so fewer shards than requested can
-/// end up used; an empty range uses one.
-pub(crate) fn sweep_geometry(seeds: &Range<u64>, shards: usize) -> (usize, u64) {
-    let n = seeds.end.saturating_sub(seeds.start);
-    if n == 0 {
-        return (1, 0);
-    }
-    let chunk = n.div_ceil(shards.max(1) as u64);
-    (n.div_ceil(chunk) as usize, chunk)
-}
-
-/// The crash-resilient sharding engine behind every sweep: runs `check`
-/// once per seed (attempt index second), split into contiguous chunks
-/// across OS threads. Per seed, panics are caught and recorded
-/// ([`SeedOutcome::Panicked`]) and transient failures retried
-/// ([`RetryPolicy`]); per sweep, progress can be checkpointed atomically
-/// and resumed ([`SweepOptions::checkpoint`] / [`SweepOptions::resume`]),
-/// with the resumed report byte-identical to an uninterrupted run's.
+/// The sharding engine behind every sweep: runs `check` once per seed
+/// (attempt index second), split into contiguous chunks of equal size
+/// (the last may be short) across OS threads, so fewer shards than
+/// requested can end up used. Per seed, panics are caught and recorded
+/// ([`SweepReport::panicked`]) and transient failures are retried under
+/// `retry`. Each shard builds a partial report over its chunk, and the
+/// partial reports are merged in shard (= ascending seed) order.
 ///
 /// `check` may record per-seed telemetry into the shard's [`Counters`];
 /// summed counters merge order-insensitively, so reports stay identical
 /// across shard counts.
-///
-/// # Panics
-///
-/// Panics when `opts.resume` carries a checkpoint whose geometry or tag
-/// does not match this sweep — resuming a different sweep would silently
-/// fabricate results. CLI frontends validate first via
-/// [`crate::checkpoint::SweepCheckpoint::validate`].
 pub fn resilient_sweep<C>(
     seeds: Range<u64>,
     shards: usize,
-    opts: &SweepOptions,
+    retry: RetryPolicy,
     check: C,
 ) -> SweepReport
 where
     C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
 {
-    use crate::checkpoint::{ShardProgress, SweepCheckpoint};
-
-    if let Some(cp) = &opts.resume {
-        let tag = opts.checkpoint.as_ref().map(|c| c.tag.as_str());
-        cp.validate(seeds.clone(), shards, tag)
-            .unwrap_or_else(|e| panic!("cannot resume this sweep from the checkpoint: {e}"));
-    }
     let start = seeds.start;
-    let (shards_used, chunk) = sweep_geometry(&seeds, shards);
     let all: Vec<u64> = seeds.collect();
+    let chunk = (all.len() as u64).div_ceil(shards.max(1) as u64).max(1);
 
-    // One live progress record per shard, shared with the checkpoint
-    // writer. Writes go through a temp-file rename, so a kill at any
-    // moment leaves either the previous or the next complete checkpoint.
-    let progress: Mutex<SweepCheckpoint> = Mutex::new(match &opts.resume {
-        Some(cp) => cp.clone(),
-        None => SweepCheckpoint::fresh(
-            opts.checkpoint.as_ref().map_or("", |c| c.tag.as_str()),
-            start,
-            all.len() as u64,
-            shards_used,
-            chunk,
-        ),
-    });
-    let written = std::sync::atomic::AtomicU64::new(0);
-
-    let checkpoint_tick = |shard_idx: usize, state: &ShardProgress, force: bool| {
-        let Some(cfg) = &opts.checkpoint else { return };
-        let mut cp = progress
-            .lock()
-            .expect("checkpoint mutex poisoned: a previous tick panicked while writing");
-        cp.shard_states[shard_idx] = state.clone();
-        let n = written.fetch_add(1, Ordering::Relaxed) + 1;
-        if force || n.is_multiple_of(cfg.every.max(1)) {
-            if let Err(e) = cp.write_atomic(&cfg.path) {
-                // A failed checkpoint write must not kill the sweep it
-                // exists to protect; the sweep still completes, only
-                // resumability degrades to the previous snapshot.
-                eprintln!(
-                    "warning: checkpoint write to {} failed: {e}",
-                    cfg.path.display()
-                );
-            }
-        }
-    };
-
-    let cancelled = || {
-        opts.cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed))
-    };
-
-    let run_shard = |shard_idx: usize, seeds: &[u64]| -> ShardProgress {
-        let mut state = match &opts.resume {
-            Some(cp) => cp.shard_states[shard_idx].clone(),
-            None => ShardProgress::default(),
-        };
-        for &seed in seeds.iter().skip(state.done as usize) {
-            if cancelled() {
-                checkpoint_tick(shard_idx, &state, true);
-                return state;
-            }
-            match run_seed(seed, &opts.retry, &mut state.counters, &check) {
-                SeedOutcome::Passed { .. } => state.conclusive += 1,
-                SeedOutcome::Inconclusive { .. } => state.inconclusive += 1,
-                SeedOutcome::Failed { seed, error } => state.failures.push((seed, error)),
-                SeedOutcome::Panicked { seed, payload } => {
-                    state.counters.add("core.diff.panicked", 1);
-                    state.panicked.push((seed, payload));
+    let run_shard = |seeds: &[u64]| -> SweepReport {
+        let mut part = SweepReport::default();
+        for &seed in seeds {
+            match run_seed(seed, retry, &mut part.counters, &check) {
+                SeedOutcome::Passed => part.conclusive += 1,
+                SeedOutcome::Inconclusive => part.inconclusive += 1,
+                SeedOutcome::Failed(error) => part.failures.push((seed, error)),
+                SeedOutcome::Panicked(payload) => {
+                    part.counters.add("core.diff.panicked", 1);
+                    part.panicked.push((seed, payload));
                 }
             }
-            state.done += 1;
-            checkpoint_tick(shard_idx, &state, false);
         }
-        state
+        part.counters.set("core.diff.seeds", seeds.len() as u64);
+        part.counters.set("core.diff.conclusive", part.conclusive);
+        part.counters
+            .set("core.diff.inconclusive", part.inconclusive);
+        let failures = part.failures.len() as u64;
+        part.counters.set("core.diff.failures", failures);
+        part
     };
 
-    let results: Vec<ShardProgress> = if shards_used == 1 {
-        vec![run_shard(0, &all)]
+    let parts: Vec<SweepReport> = if all.len() as u64 <= chunk {
+        vec![run_shard(&all)]
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = all
                 .chunks(chunk as usize)
-                .enumerate()
-                .map(|(i, c)| s.spawn(move || run_shard(i, c)))
+                .map(|c| s.spawn(move || run_shard(c)))
                 .collect();
             handles
                 .into_iter()
@@ -823,37 +676,23 @@ where
         })
     };
 
-    let done: u64 = results.iter().map(|s| s.done).sum();
     let mut report = SweepReport {
         total: all.len() as u64,
-        shards: shards_used,
+        shards: parts.len(),
         start,
-        chunk,
-        interrupted: done < all.len() as u64,
-        checkpoint_path: opts
-            .checkpoint
-            .as_ref()
-            .map(|c| c.path.display().to_string()),
+        chunk: if all.is_empty() { 0 } else { chunk },
         ..SweepReport::default()
     };
-    for state in &results {
-        let mut counters = state.counters.clone();
-        counters.set("core.diff.seeds", state.done);
-        counters.set("core.diff.conclusive", state.conclusive);
-        counters.set("core.diff.inconclusive", state.inconclusive);
-        counters.set("core.diff.failures", state.failures.len() as u64);
-        report.conclusive += state.conclusive;
-        report.inconclusive += state.inconclusive;
-        report.failures.extend(state.failures.iter().cloned());
-        report.panicked.extend(state.panicked.iter().cloned());
-        report.counters.merge(&counters);
+    for mut part in parts {
+        report.conclusive += part.conclusive;
+        report.inconclusive += part.inconclusive;
+        report.failures.append(&mut part.failures);
+        report.panicked.append(&mut part.panicked);
+        report.counters.merge(&part.counters);
     }
-    report.counters.set("core.diff.shards", shards_used as u64);
-    // Seal the checkpoint with every shard's final state so a resume of a
-    // finished sweep is a no-op that reproduces the same report.
-    if let Some(last) = results.len().checked_sub(1) {
-        checkpoint_tick(last, &results[last], true);
-    }
+    report
+        .counters
+        .set("core.diff.shards", report.shards as u64);
     report
 }
 
@@ -1118,8 +957,8 @@ fn replay_into_spec_core(
 /// Knobs for [`fault_sweep_with`] beyond the sweep itself.
 #[derive(Clone, Debug)]
 pub struct FaultSweepOptions {
-    /// Engine options (retry schedule, checkpoint/resume, cancellation).
-    pub sweep: SweepOptions,
+    /// Retry schedule for transient failures.
+    pub retry: RetryPolicy,
     /// Shrink up to this many failing seeds into
     /// [`crate::triage::TriageReport`]s after the sweep (0 disables).
     pub triage: usize,
@@ -1130,13 +969,10 @@ pub struct FaultSweepOptions {
 
 impl Default for FaultSweepOptions {
     /// Escalating retries, triage of the first three failures, no
-    /// checkpointing, no artifact files.
+    /// artifact files.
     fn default() -> FaultSweepOptions {
         FaultSweepOptions {
-            sweep: SweepOptions {
-                retry: RetryPolicy::escalating(),
-                ..SweepOptions::default()
-            },
+            retry: RetryPolicy::escalating(),
             triage: 3,
             triage_dir: None,
         }
@@ -1146,7 +982,7 @@ impl Default for FaultSweepOptions {
 /// The per-attempt budget escalation: each retry of a transiently-failing
 /// seed doubles the full budget, capped at two doublings — bounded, like
 /// the backoff schedule, so a genuinely dead seed classifies quickly.
-pub fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig {
+fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig {
     let mut out = cfg.clone();
     out.max_cycles = cfg.max_cycles << attempt.min(2);
     out
@@ -1157,16 +993,16 @@ pub fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig
 /// built once and shared across shards; each seed's check builds its own
 /// [`Monitor`] state table. The report's counters carry the sweep's
 /// aggregate fault/recovery telemetry. This is [`fault_sweep_with`] under
-/// default options: escalating retries, automatic triage of the first few
-/// failures, no checkpointing.
+/// default options: escalating retries and automatic triage of the first
+/// few failures.
 pub fn fault_sweep(seeds: Range<u64>, shards: usize, cfg: &FaultSweepConfig) -> SweepReport {
     fault_sweep_with(seeds, shards, cfg, &FaultSweepOptions::default())
 }
 
 /// [`fault_sweep`] with explicit [`FaultSweepOptions`]: panic-isolated,
-/// retrying, checkpointable, and self-triaging. After the sweep, each
-/// failing seed (up to `opts.triage`) is shrunk to a locally-minimal
-/// fault plan with a named divergence site; summaries land in
+/// retrying and self-triaging. After the sweep, each failing seed (up to
+/// `opts.triage`) is shrunk to a locally-minimal fault plan with a named
+/// divergence site; summaries land in
 /// [`SweepReport::triage`] (and in [`SweepReport::expect_clean`]'s panic
 /// message), full reports in `opts.triage_dir` when set.
 pub fn fault_sweep_with(
@@ -1177,7 +1013,7 @@ pub fn fault_sweep_with(
 ) -> SweepReport {
     let image = build_image(&cfg.system);
     let spec = good_hl_trace(cfg.system.driver);
-    let mut report = resilient_sweep(seeds, shards, &opts.sweep, |seed, attempt, counters| {
+    let mut report = resilient_sweep(seeds, shards, opts.retry, |seed, attempt, counters| {
         fault_check_against(
             &FaultPlan::from_seed(seed),
             &escalate_budget(cfg, attempt),
@@ -1189,14 +1025,14 @@ pub fn fault_sweep_with(
 
     // Failing seeds were classified at full escalation; triage probes the
     // same (deterministic) configuration the failure was confirmed at.
-    let final_cfg = escalate_budget(cfg, opts.sweep.retry.attempts.saturating_sub(1));
+    let final_cfg = escalate_budget(cfg, opts.retry.attempts.saturating_sub(1));
     for (seed, _) in report.failures.iter().take(opts.triage) {
         let Some(tr) = crate::triage::triage_seed(*seed, &final_cfg, &image) else {
             continue;
         };
         let artifact = opts.triage_dir.as_ref().and_then(|dir| {
             let path = dir.join(format!("TRIAGE_fault_sweep_seed{seed}.json"));
-            match crate::checkpoint::write_atomic(&path, &tr.to_json().render()) {
+            match crate::triage::write_atomic(&path, &tr.to_json().render()) {
                 Ok(()) => Some(path.display().to_string()),
                 Err(e) => {
                     eprintln!("warning: could not write {}: {e}", path.display());
@@ -1317,7 +1153,7 @@ mod tests {
             resilient_sweep(
                 seeds.clone(),
                 1,
-                &SweepOptions::default(),
+                RetryPolicy::default(),
                 |seed, _, counters| {
                     check_runs(
                         &FaultPlan::from_seed(seed),

@@ -22,10 +22,8 @@
 //!   compiler correctness (Bedrock2 interpreter vs compiled code on the
 //!   ISA spec machine), ISA consistency (spec machine vs single-cycle
 //!   core, §5.8), and processor refinement (pipelined vs single-cycle,
-//!   §5.7), each exercised over randomly generated programs;
-//! * [`checkpoint`] — atomic checkpoint/resume state for long sweeps, so
-//!   an interrupted run resumes where it stopped and reproduces the
-//!   uninterrupted report byte for byte;
+//!   §5.7), each swept over random programs (or seeded fault plans) by
+//!   one sharded engine with per-seed panic isolation and retries;
 //! * [`triage`] — delta-debugging minimization of failing fault plans
 //!   plus divergence-site location, turning a red sweep seed into a
 //!   1-minimal counterexample automatically;
@@ -35,7 +33,6 @@
 //!   generated programs an I/O channel whose trace both sides must
 //!   reproduce exactly.
 
-pub mod checkpoint;
 pub mod debug_dev;
 pub mod differential;
 pub mod end_to_end;
@@ -44,11 +41,10 @@ pub mod progen;
 pub mod system;
 pub mod triage;
 
-pub use checkpoint::SweepCheckpoint;
 pub use differential::{
     check_compiler_differential, check_isa_consistency, fault_check, fault_check_plan, fault_sweep,
-    fault_sweep_with, resilient_sweep, CheckpointConfig, DiffError, FaultSweepConfig,
-    FaultSweepOptions, RetryPolicy, SeedOutcome, SweepOptions, SweepReport,
+    fault_sweep_with, resilient_sweep, DiffError, FaultSweepConfig, FaultSweepOptions, RetryPolicy,
+    SweepReport,
 };
 pub use end_to_end::{end_to_end_lightbulb, EndToEndError, IntegrationReport};
 pub use liveness::{check_event_loop_liveness, LivenessError, LivenessReport};

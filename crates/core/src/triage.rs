@@ -25,7 +25,6 @@
 //! `SweepReport::expect_clean` quotes and `fault_sweep --triage-dir`
 //! writes to disk.
 
-use crate::checkpoint::{error_to_json, event_to_json};
 use crate::differential::{fault_check_against, run_model, DiffError, FaultSweepConfig};
 use crate::system::ProcessorKind;
 use bedrock2_compiler::CompiledProgram;
@@ -34,8 +33,9 @@ use lightbulb::good_hl_trace;
 use obs::json::Value;
 use obs::Counters;
 use proglogic::trace::{Monitor, TracePred};
-use riscv_spec::MmioEvent;
+use riscv_spec::{MmioEvent, MmioEventKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 /// Events shown before the divergence index in each suffix window.
 const SUFFIX_BEFORE: usize = 4;
@@ -59,7 +59,7 @@ pub struct TriageSummary {
 }
 
 impl TriageSummary {
-    /// The summary as JSON (embedded in `sweep-report/v1`).
+    /// The summary as JSON (embedded in `sweep-report/v2`).
     pub fn to_json(&self) -> Value {
         Value::obj()
             .field("seed", Value::UInt(self.seed))
@@ -329,6 +329,76 @@ fn locate_divergence(
     }
 }
 
+/// Writes `text` to `path` atomically: the bytes land in `<path>.tmp`
+/// first and are renamed over the target, so a reader (or a process kill)
+/// never observes a torn artifact.
+///
+/// # Errors
+///
+/// The underlying I/O error, as a printable message.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, format!("{text}\n"))
+        .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path)
+        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+}
+
+/// One MMIO event as JSON (`{"kind": "ld"|"st", "addr", "value"}`).
+fn event_to_json(e: &MmioEvent) -> Value {
+    Value::obj()
+        .field(
+            "kind",
+            Value::Str(match e.kind {
+                MmioEventKind::Load => "ld".into(),
+                MmioEventKind::Store => "st".into(),
+            }),
+        )
+        .field("addr", Value::UInt(e.addr as u64))
+        .field("value", Value::UInt(e.value as u64))
+}
+
+fn opt_event_to_json(e: &Option<MmioEvent>) -> Value {
+    match e {
+        Some(e) => event_to_json(e),
+        None => Value::Null,
+    }
+}
+
+/// A [`DiffError`] as JSON, tagged by `kind` (what `--replay-plan` reads
+/// back from a triage artifact).
+pub(crate) fn error_to_json(e: &DiffError) -> Value {
+    let kind = |k: &str| Value::obj().field("kind", Value::Str(k.into()));
+    match e {
+        DiffError::SourceUb(m) => kind("source_ub").field("msg", Value::Str(m.clone())),
+        DiffError::CompileError(m) => kind("compile_error").field("msg", Value::Str(m.clone())),
+        DiffError::MachineError(m) => kind("machine_error").field("msg", Value::Str(m.clone())),
+        DiffError::MachineTimeout => kind("machine_timeout"),
+        DiffError::TraceMismatch {
+            index,
+            source,
+            machine,
+        } => kind("trace_mismatch")
+            .field("index", Value::UInt(*index as u64))
+            .field("source", opt_event_to_json(source))
+            .field("machine", opt_event_to_json(machine)),
+        DiffError::SpecViolation {
+            matched,
+            total,
+            model,
+        } => kind("spec_violation")
+            .field("matched", Value::UInt(*matched as u64))
+            .field("total", Value::UInt(*total as u64))
+            .field("model", Value::Str((*model).to_string())),
+        DiffError::WorkloadIncomplete {
+            delivered,
+            expected,
+        } => kind("workload_incomplete")
+            .field("delivered", Value::UInt(*delivered))
+            .field("expected", Value::UInt(*expected)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,5 +469,21 @@ mod tests {
         let b = shrink_plan(&noisy_plan(), garbage_after(50)).expect("fails");
         assert_eq!(a.0, b.0);
         assert_eq!(a.2, b.2);
+    }
+
+    #[test]
+    fn atomic_write_replaces_not_appends() {
+        let dir = std::env::temp_dir().join("lightbulb-atomic-write-test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("artifact.json");
+        write_atomic(&path, "first").expect("write");
+        write_atomic(&path, "second").expect("write");
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(text, "second\n");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "tmp file renamed away"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,25 +1,21 @@
-//! The JSON readers never panic on bad input. A sweep resumes from a
-//! checkpoint file and `fault_sweep --replay-plan` reads a plan or triage
-//! artifact from disk, so a truncated write or a flipped byte must come
-//! back as an `Err` (or, if the damage happens to stay well-formed, as a
-//! value), never as a panic.
+//! The JSON readers never panic on bad input. `fault_sweep --replay-plan`
+//! reads a plan or triage artifact from disk, so a truncated write or a
+//! flipped byte must come back as an `Err` (or, if the damage happens to
+//! stay well-formed, as a value), never as a panic.
 //!
-//! Each real document — a checkpoint written by a small checkpointed
-//! `resilient_sweep`, a `fault-plan/v1` plan and a `triage-report/v1`
+//! Each real document — a `fault-plan/v1` plan and a `triage-report/v1`
 //! report — is fed through `obs::json::parse` and its reader under
 //! `catch_unwind`: every truncation, and a seeded set of single-byte
 //! corruptions.
 
 use devices::FaultPlan;
-use integration::checkpoint::SweepCheckpoint;
-use integration::differential::{resilient_sweep, CheckpointConfig, DiffError, SweepOptions};
+use integration::differential::DiffError;
 use integration::triage::{DivergenceSite, TriageReport};
 use obs::json::parse;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use riscv_spec::MmioEvent;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Single-byte corruptions tried per document.
 const CORRUPTIONS: usize = 3000;
@@ -27,54 +23,6 @@ const CORRUPTIONS: usize = 3000;
 /// Bytes a corruption writes: JSON's structural characters, the starts of
 /// literals, numbers and escapes, and a non-ASCII byte.
 const NASTY: &[u8] = b"\"{}[]:,\\-+.0123456789eEunlltf \x00\xC3";
-
-/// The document as the sweep's checkpoint writer leaves it on disk: two
-/// shards holding passes, inconclusive seeds, failures of every error
-/// kind, caught panics and per-seed counters.
-fn checkpoint_document() -> String {
-    // Tests run in parallel threads of one process: one directory per call.
-    static CALLS: AtomicUsize = AtomicUsize::new(0);
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("json-readers-{}-{call}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("sweep.cp.json");
-    let opts = SweepOptions {
-        checkpoint: Some(CheckpointConfig {
-            path: path.clone(),
-            every: 1,
-            tag: "json-readers".to_string(),
-        }),
-        ..SweepOptions::default()
-    };
-    let report = resilient_sweep(0..16, 2, &opts, |seed, _, counters| {
-        counters.add("test.seed_sum", seed);
-        match seed % 8 {
-            0 => Ok(()),
-            1 => Err(DiffError::SourceUb(format!("fuel ran out at seed {seed}"))),
-            2 => Err(DiffError::TraceMismatch {
-                index: seed as usize,
-                source: Some(MmioEvent::load(0x1002_4040, 7)),
-                machine: None,
-            }),
-            3 => Err(DiffError::SpecViolation {
-                matched: 12,
-                total: 40,
-                model: "pipelined",
-            }),
-            4 => Err(DiffError::WorkloadIncomplete {
-                delivered: 1,
-                expected: 3,
-            }),
-            5 => Err(DiffError::MachineTimeout),
-            6 => panic!("planted panic at seed {seed}"),
-            _ => Err(DiffError::MachineError("trap \"ecall\"".to_string())),
-        }
-    });
-    assert_eq!(report.panicked.len(), 2, "the planted panics are caught");
-    let text = std::fs::read_to_string(&path).expect("the sweep wrote its checkpoint");
-    let _ = std::fs::remove_dir_all(&dir);
-    text
-}
 
 /// A seeded plan with atoms of every kind, as `fault-plan/v1`.
 fn plan() -> FaultPlan {
@@ -123,14 +71,6 @@ fn triage_document() -> String {
     }
     .to_json()
     .render()
-}
-
-fn read_checkpoint(text: &str) {
-    if let Ok(doc) = parse(text) {
-        if let Ok(cp) = SweepCheckpoint::from_json(&doc) {
-            let _ = cp.validate(0..16, 2, Some("json-readers"));
-        }
-    }
 }
 
 fn read_plan(text: &str) {
@@ -183,18 +123,9 @@ fn assert_never_panics(name: &str, read: fn(&str), inputs: &[String]) {
 
 #[test]
 fn the_undamaged_documents_read_back() {
-    let cp = SweepCheckpoint::from_json(&parse(&checkpoint_document()).unwrap()).unwrap();
-    cp.validate(0..16, 2, Some("json-readers")).unwrap();
-    assert_eq!(cp.shard_states.iter().map(|s| s.done).sum::<u64>(), 16);
     assert_eq!(FaultPlan::from_json(&plan().to_json()).unwrap(), plan());
     let report = parse(&triage_document()).unwrap();
     assert!(FaultPlan::from_json(report.get("minimal").unwrap()).is_ok());
-}
-
-#[test]
-fn damaged_checkpoints_never_panic_the_reader() {
-    let inputs = damaged(&checkpoint_document(), 0xC0FFEE);
-    assert_never_panics("sweep-checkpoint/v1", read_checkpoint, &inputs);
 }
 
 #[test]

@@ -41,8 +41,8 @@ pub enum FrameFault {
 /// A deterministic schedule of device misbehaviour.
 ///
 /// All index fields are sorted ascending by their trigger count. The plan
-/// is split into [`WireFaults`] (owned by the SPI controller) and
-/// [`LanFaults`] (owned by the LAN9250 model) when a board is built with
+/// is split into `WireFaults` (owned by the SPI controller) and
+/// `LanFaults` (owned by the LAN9250 model) when a board is built with
 /// [`crate::Board::with_faults`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -114,7 +114,7 @@ impl FaultPlan {
     /// The distribution is calibrated so every plan is *recoverable* by the
     /// hardened drivers: at most one register gets a "hard" fault (longer
     /// than one poll budget, forcing failed init attempts), capped at two
-    /// budgets' worth; stalls are bounded by [`MAX_STALL_READS`].
+    /// budgets' worth; stalls are bounded by `MAX_STALL_READS`.
     pub fn from_seed(seed: u64) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
         let mut plan = FaultPlan {

@@ -1,28 +1,6 @@
 //! The named-counter registry.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
-
-/// Interns a counter name, returning the `&'static str` the registry
-/// needs. Names born in the binary are already `'static`; this is for
-/// names that arrive from *outside* — parsed back from a checkpoint or
-/// report file — where each distinct name is leaked exactly once into a
-/// process-global cache (bounded by the number of distinct counter names,
-/// a few dozen in practice).
-pub fn intern(name: &str) -> &'static str {
-    static CACHE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let mut cache = CACHE
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .expect("name interner poisoned: a previous intern call panicked mid-insert");
-    if let Some(&s) = cache.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    cache.insert(leaked);
-    leaked
-}
 
 /// A registry of named monotonic counters.
 ///

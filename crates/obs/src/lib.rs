@@ -40,7 +40,7 @@ mod event;
 mod hist;
 mod sink;
 
-pub use counters::{intern, Counters};
+pub use counters::Counters;
 pub use event::{Event, Phase};
 pub use hist::Histogram;
 pub use sink::{MemSink, NullSink, Sink};

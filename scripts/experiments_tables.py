@@ -65,6 +65,21 @@ def fault_sweep():
     ])
 
 
+def table3():
+    rows = json.loads((ROOT / "BENCH_table3.json").read_text())["data"]["rows"]
+    lines = [
+        "<!-- generated from BENCH_table3.json by scripts/experiments_tables.py -->",
+        "",
+        "| component | file | LoC | paper's corresponding row |",
+        "|---|---|---:|---|",
+    ]
+    for r in rows:
+        file = f"`{r['file']}`" if r["file"] else ""
+        paper = r["paper's corresponding row"]
+        lines.append(f"| {r['component']} | {file} | {r['LoC']} | {paper} |")
+    return "\n".join(lines)
+
+
 def table4():
     rows = json.loads((ROOT / "BENCH_table4.json").read_text())["data"]["rows"]
     lines = [
@@ -157,6 +172,7 @@ def fig_perf_spi():
 TABLES = {
     "spec_throughput": spec_throughput,
     "fault_sweep": fault_sweep,
+    "table3": table3,
     "table4": table4,
     "verif_perf": verif_perf,
     "driver_proofs": driver_proofs,
