@@ -12,8 +12,11 @@
 //! timeouts, optimizing compiler, idealized 1-IPC core). Absolute numbers
 //! differ from the paper's testbed; the claim being reproduced is the
 //! *shape*: every factor ≥ 1 and a several-fold product.
+//!
+//! It also runs Figure 4's BTB ablation ([`bench::btb_ablation`]) and
+//! panics unless the branch target buffer pays for itself.
 
-use bench::{emit_json, json_mode, packet_to_actuation_latency, render_table};
+use bench::{btb_ablation, emit_json, json_mode, packet_to_actuation_latency, render_table};
 use lightbulb_system::compiler::{compile, MmioExtCompiler};
 use lightbulb_system::devices::SpiConfig;
 use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
@@ -96,6 +99,15 @@ fn main() {
         })
         .collect();
 
+    // Figure 4: the BTB the paper added to the Kami pipeline must pay for
+    // itself on a branch-heavy workload.
+    eprintln!("\nrunning the BTB ablation…");
+    let btb = btb_ablation();
+    assert!(
+        btb.with_btb.cycles < btb.without_btb.cycles,
+        "the BTB must pay for itself on loops: {btb:?}"
+    );
+
     let paper = [1.4, 1.2, 2.1, 2.7];
     let names = [
         "SPI pipelining",
@@ -169,7 +181,16 @@ fn main() {
             .field("total_measured", Value::Float(product))
             .field("total_paper", Value::Float(10.0))
             .field("regalloc_ablation", ablation)
-            .field("spi_sweep", sweep);
+            .field("spi_sweep", sweep)
+            .field(
+                "btb_ablation",
+                Value::obj()
+                    .field("with_btb_cycles", Value::UInt(btb.with_btb.cycles))
+                    .field("without_btb_cycles", Value::UInt(btb.without_btb.cycles))
+                    .field("with_btb_ipc", Value::Float(btb.with_btb.ipc()))
+                    .field("without_btb_ipc", Value::Float(btb.without_btb.ipc()))
+                    .field("speedup", Value::Float(btb.speedup())),
+            );
         emit_json("fig_perf", data);
         return;
     }
@@ -218,4 +239,14 @@ fn main() {
     println!();
     println!("shape check: at high SPI cost the latency grows with the wire speed,");
     println!("confirming the packet transfer dominates (the paper's observation).");
+
+    println!(
+        "\nFigure 4 BTB ablation (nested loops): {} cycles with the BTB (IPC {:.2}) vs {} \
+         without (IPC {:.2}), {:.2}× speedup",
+        btb.with_btb.cycles,
+        btb.with_btb.ipc(),
+        btb.without_btb.cycles,
+        btb.without_btb.ipc(),
+        btb.speedup()
+    );
 }

@@ -53,7 +53,7 @@ fn main() {
     );
     println!();
     println!("Other TCB (paper: Verilog wrapper, Kami→Bluespec, bsc, yosys/nextpnr, Coq):");
-    println!("  here: the Rust compiler and standard library, the `rand`/`proptest`/");
-    println!("  `criterion` dev-dependencies, and this harness itself — the usual");
+    println!("  here: the Rust compiler and standard library, the `rand` and `proptest`");
+    println!("  stand-ins, and this harness itself — the usual");
     println!("  trusted substrate of any testing-based (rather than proof-based) check.");
 }

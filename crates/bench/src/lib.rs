@@ -13,11 +13,15 @@
 //!   per layer;
 //! * `fig_perf` — the §7.2.1 latency decomposition
 //!   (10× ≈ 1.4× · 1.2× · 2.1× · 2.7× in the paper), measured in
-//!   simulated cycles over the same configuration grid;
-//! * `verif_perf` — §7.2.2: wall-clock costs of the checking machinery.
-//!
-//! Criterion benches (`cargo bench`) measure the wall-clock performance of
-//! the simulators and checkers themselves.
+//!   simulated cycles over the same configuration grid, plus Figure 4's
+//!   BTB ablation;
+//! * `verif_perf` — §7.2.2: wall-clock costs of the checking machinery;
+//! * `spec_throughput` — spec-machine, hardware-model and trace-monitor
+//!   throughput, gated against its record by `scripts/bench_gate.sh`;
+//! * `fault_sweep` — the seeded fault-plan sweep, with shrinking triage of
+//!   any failing plan;
+//! * `spec_listing` — prints `goodHlTrace` as the combinator structure
+//!   `lightbulb::spec` builds (§3.1's one-page spec).
 
 use lightbulb_system::compiler::CompiledProgram;
 use lightbulb_system::devices::{FaultPlan, TrafficGen};
@@ -257,6 +261,104 @@ pub fn packet_to_actuation_latency(
         }
     }
     panic!("system must actuate within budget");
+}
+
+/// One run of the BTB-ablation workload to its halt on the pipelined core.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HaltRun {
+    /// Simulated cycles to the halt.
+    pub cycles: u64,
+    /// Instructions retired by then.
+    pub retired: u64,
+}
+
+impl HaltRun {
+    /// Instructions per cycle.
+    pub fn ipc(&self) -> f64 {
+        self.retired as f64 / self.cycles as f64
+    }
+}
+
+/// Figure 4's BTB ablation: the same branch-heavy workload with and
+/// without the branch target buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BtbAblation {
+    /// The default pipeline configuration (BTB on).
+    pub with_btb: HaltRun,
+    /// The same pipeline with prediction disabled (always pc+4).
+    pub without_btb: HaltRun,
+}
+
+impl BtbAblation {
+    /// How many times faster the workload finishes with the BTB.
+    pub fn speedup(&self) -> f64 {
+        self.without_btb.cycles as f64 / self.with_btb.cycles as f64
+    }
+}
+
+/// Runs Figure 4's BTB ablation (the measurement behind `fig_perf`'s
+/// `btb_ablation` record): nested counted loops, 100 × 20 iterations,
+/// compiled once and run to their halt on the pipelined core with the
+/// default BTB and with prediction disabled. Deterministic: simulated
+/// cycles, no wall clock.
+///
+/// # Panics
+///
+/// Panics if the workload fails to compile or to halt within 10 M cycles
+/// — a workspace bug, not a measurement.
+pub fn btb_ablation() -> BtbAblation {
+    use bedrock2::dsl::*;
+    use bedrock2::{Function, Program};
+    use lightbulb_system::compiler::{compile, CompileOptions, NoExtCompiler};
+    use lightbulb_system::processor::{PipelineConfig, Pipelined};
+    use lightbulb_system::riscv::NoMmio;
+
+    let main = Function::new(
+        "main",
+        &[],
+        &["acc"],
+        block([
+            set("acc", lit(0)),
+            set("i", lit(0)),
+            while_(
+                ltu(var("i"), lit(100)),
+                block([
+                    set("j", lit(0)),
+                    while_(
+                        ltu(var("j"), lit(20)),
+                        block([
+                            set("acc", add(var("acc"), var("j"))),
+                            set("j", add(var("j"), lit(1))),
+                        ]),
+                    ),
+                    set("i", add(var("i"), lit(1))),
+                ]),
+            ),
+        ]),
+    );
+    let image = compile(
+        &Program::from_functions([main]),
+        &NoExtCompiler,
+        &CompileOptions::default(),
+    )
+    .expect("the BTB workload compiles")
+    .bytes();
+    let run_to_halt = |config: PipelineConfig| {
+        let mut cpu = Pipelined::new(&image, 0x1_0000, NoMmio, config);
+        cpu.run(10_000_000);
+        assert!(cpu.halted, "the BTB workload must finish");
+        HaltRun {
+            cycles: cpu.cycle,
+            retired: cpu.retired,
+        }
+    };
+    BtbAblation {
+        with_btb: run_to_halt(PipelineConfig::default()),
+        without_btb: run_to_halt(PipelineConfig {
+            btb_bits: None,
+            ..PipelineConfig::default()
+        }),
+    }
 }
 
 /// The rows of Table 3, the spec-role code one must read and trust:

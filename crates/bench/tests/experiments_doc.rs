@@ -413,3 +413,72 @@ fn table3_record_matches_live_count() {
     assert_eq!(text(last, "LoC"), total.to_string(), "TOTAL: {stale}");
     assert_eq!(num(&data, "total_spec_loc"), f64::from(total), "{stale}");
 }
+
+/// The `btb_ablation` fields of `BENCH_fig_perf.json`, in the order the
+/// Figure 4 sentence quotes them.
+const BTB_FIELDS: [&str; 5] = [
+    "with_btb_cycles",
+    "without_btb_cycles",
+    "speedup",
+    "with_btb_ipc",
+    "without_btb_ipc",
+];
+
+#[test]
+fn fig4_btb_sentence_matches_its_record() {
+    let (doc, data) = doc_and_record("fig_perf");
+    let btb = data.get("btb_ablation").expect("btb_ablation");
+    let sentence = block(&doc, "fig4_btb");
+    let quoted = numbers(&sentence);
+    assert_eq!(quoted.len(), BTB_FIELDS.len(), "{sentence:?}");
+    for (q, field) in quoted.iter().zip(BTB_FIELDS) {
+        assert_quotes(q, num(btb, field), field);
+    }
+}
+
+#[test]
+fn telemetry_sentence_matches_its_record() {
+    let (doc, data) = doc_and_record("table1");
+    let c = data.get("counters").expect("counters");
+    let n = |name: &str| num(c, name);
+    let cycles = n("pipeline.cycles");
+    let (hits, misses) = (n("pipeline.btb.hit"), n("pipeline.btb.miss"));
+    let spi_busy = 100.0 * n("board.spi.busy_ticks") / n("board.ticks");
+    let figures = [
+        (n("pipeline.retired") / cycles, "IPC"),
+        (100.0 * n("pipeline.stall.total") / cycles, "stall rate"),
+        (n("pipeline.stall.raw"), "RAW stalls"),
+        (n("pipeline.stall.waw"), "WAW stalls"),
+        (100.0 * n("pipeline.flush.total") / cycles, "flush rate"),
+        (n("pipeline.flush.total"), "flushes"),
+        (n("pipeline.flush.mispredict"), "mispredicts"),
+        (100.0 * hits / (hits + misses), "BTB hit rate"),
+        (spi_busy, "SPI busy"),
+    ];
+    let sentence = block(&doc, "telemetry");
+    let quoted = numbers(&sentence);
+    assert_eq!(quoted.len(), figures.len(), "{sentence:?}");
+    for (q, (value, what)) in quoted.iter().zip(figures) {
+        assert_quotes(q, value, what);
+    }
+}
+
+#[test]
+fn btb_ablation_record_matches_live_run() {
+    let (_, data) = doc_and_record("fig_perf");
+    let rec = data.get("btb_ablation").expect("btb_ablation");
+    let b = bench::btb_ablation();
+    let live = [
+        b.with_btb.cycles as f64,
+        b.without_btb.cycles as f64,
+        b.speedup(),
+        b.with_btb.ipc(),
+        b.without_btb.ipc(),
+    ];
+    assert_eq!(
+        BTB_FIELDS.map(|f| num(rec, f)),
+        live,
+        "BENCH_fig_perf.json is stale: re-record it with \
+         `cargo run --release -p bench --bin fig_perf -- --json > BENCH_fig_perf.json`"
+    );
+}

@@ -385,13 +385,16 @@ fn init_attempt_ok(opts: DriverOptions) -> TracePred {
 }
 
 /// One *failed* `lan_init` attempt: phases short-circuit once a poll gives
-/// up, so the trace is a (possibly empty) tail of fault-tolerant frames
-/// per phase. Deliberately lax — there is no GPIO event anywhere in it.
+/// up, so the trace is a tail of fault-tolerant frames per phase.
+/// Deliberately lax — there is no GPIO event anywhere in it — except that
+/// it is never empty: `lan_init` always issues its first `BYTE_TEST` read,
+/// so one drain's reads cannot be split across several empty attempts.
 fn init_attempt_fail(opts: DriverOptions) -> TracePred {
     let budget = layout::INIT_TIMEOUT as usize + 2;
     let opt = |p: &TracePred| p.or(&TracePred::eps());
+    let byte_test = lan_read_ft(opts, lan::BYTE_TEST);
     TracePred::all([
-        lan_read_ft(opts, lan::BYTE_TEST).at_most(budget),
+        byte_test.then(&byte_test.at_most(budget - 1)),
         lan_read_ft(opts, lan::HW_CFG).at_most(budget),
         opt(&lan_write_ft(opts, lan::MAC_CSR_DATA, layout::MAC_CR_RXEN)),
         opt(&lan_write_ft(
@@ -810,11 +813,9 @@ mod tests {
     fn a_drain_past_its_budget_is_refused_at_that_read() {
         // The first `spi_drain` of a recovery run — the RXDATA reads
         // between a failed attempt's last chip-select release and the
-        // next attempt's — padded with copies of its first read: the
-        // drain predicate takes SPI_DRAIN_BUDGET + 1 reads and refuses
-        // the next one. (Inside `goodHlTrace` the retry chain can also
-        // split one run of reads across the drains of several empty
-        // failed attempts, so the bound is checked on `spi_drain` itself.)
+        // next attempt's — padded with copies of its first read: up to
+        // SPI_DRAIN_BUDGET + 1 reads are a drain the driver can issue, one
+        // more is not, and `goodHlTrace` must say so at exactly that read.
         let opts = DriverOptions::default();
         let plan = devices::FaultPlan {
             byte_test_junk_reads: 80,
@@ -830,14 +831,12 @@ mod tests {
             .expect("a drain after a failed attempt")
             + 1;
         let len = trace[start..].iter().take_while(|e| is_rx(e)).count();
-        let drain = &trace[start..start + len];
         let budget = layout::SPI_DRAIN_BUDGET as usize + 1;
-        let spi_drain = drain_reads();
-        assert!(spi_drain.matches(drain), "the recorded drain");
-        let full = spliced(drain, 0, drain[0], budget - len);
-        assert!(spi_drain.matches(&full));
-        let over = spliced(drain, 0, drain[0], budget + 1 - len);
-        assert_eq!(spi_drain.longest_matching_prefix(&over), budget);
+        let spec = good_hl_trace(opts);
+        let full = spliced(&trace, start, trace[start], budget - len);
+        assert_eq!(spec.longest_matching_prefix(&full), full.len());
+        let over = spliced(&trace, start, trace[start], budget + 1 - len);
+        assert_eq!(spec.longest_matching_prefix(&over), start + budget);
     }
 
     #[test]

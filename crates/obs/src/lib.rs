@@ -8,8 +8,7 @@
 //! * [`Sink`] — the structured-event interface. Instrumented components
 //!   take a `S: Sink` type parameter; the default [`NullSink`] has
 //!   `ENABLED == false` and empty inlined methods, so the disabled path
-//!   monomorphizes to *nothing* (the `obs_overhead` bench in
-//!   `crates/bench` checks this stays under 2%).
+//!   monomorphizes to *nothing* (`sink`'s tests const-assert the flag).
 //! * [`Counters`] — a named-counter registry. Hot paths keep plain `u64`
 //!   fields in their own stats structs (e.g. `PipelineStats`) and dump
 //!   them into a registry at reporting time; the registry is for

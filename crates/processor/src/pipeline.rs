@@ -133,9 +133,9 @@ struct Executed {
 /// The pipelined core.
 ///
 /// `S` is the telemetry sink; the default [`NullSink`] monomorphizes every
-/// instrumentation site away (checked by the `obs_overhead` bench in
-/// `crates/bench`). Use [`Pipelined::with_sink`] to attach a recording
-/// sink such as [`obs::MemSink`].
+/// instrumentation site away (its `ENABLED` is a constant `false`). Use
+/// [`Pipelined::with_sink`] to attach a recording sink such as
+/// [`obs::MemSink`].
 #[derive(Clone, Debug)]
 pub struct Pipelined<M, S = NullSink> {
     pub(crate) fetch_pc: u32,

@@ -55,6 +55,20 @@ echo "== docs =="
 # Warnings are errors: a doc link left dangling by a deleted item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "== EXPERIMENTS.md generated blocks =="
+# experiments_doc checks the quoted numbers; this checks the rendered
+# text: regenerating every block from the committed records must be a
+# no-op, so a hand edit inside a generated block fails here.
+if command -v python3 >/dev/null 2>&1; then
+  cp EXPERIMENTS.md /tmp/EXPERIMENTS.committed.md
+  python3 scripts/experiments_tables.py
+  if ! diff -u /tmp/EXPERIMENTS.committed.md EXPERIMENTS.md; then
+    cp /tmp/EXPERIMENTS.committed.md EXPERIMENTS.md
+    echo "EXPERIMENTS.md differs from its records: run python3 scripts/experiments_tables.py" >&2
+    exit 1
+  fi
+fi
+
 echo "== examples =="
 for e in quickstart lightbulb_demo malformed_packet_fuzz differential_compiler pipeline_trace packet_counter observed_run; do
   echo "-- $e"

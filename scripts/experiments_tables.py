@@ -169,6 +169,27 @@ def fig_perf_spi():
     return "\n".join(lines)
 
 
+def fig4_btb():
+    b = fig_perf_record()["btb_ablation"]
+    return (f"the nested-loop workload finishes in {b['with_btb_cycles']} cycles with the "
+            f"BTB vs {b['without_btb_cycles']} without: a {b['speedup']:.2f}× speedup "
+            f"(IPC {b['with_btb_ipc']:.2f} → {b['without_btb_ipc']:.2f}).")
+
+
+def telemetry():
+    c = json.loads((ROOT / "BENCH_table1.json").read_text())["data"]["counters"]
+    cycles = c["pipeline.cycles"]
+    hits, misses = c["pipeline.btb.hit"], c["pipeline.btb.miss"]
+    return (f"IPC {c['pipeline.retired'] / cycles:.2f}, "
+            f"stall rate {100 * c['pipeline.stall.total'] / cycles:.1f}% "
+            f"({c['pipeline.stall.raw']} RAW and {c['pipeline.stall.waw']} WAW stall cycles), "
+            f"flush rate {100 * c['pipeline.flush.total'] / cycles:.2f}% "
+            f"({c['pipeline.flush.total']} flushes, {c['pipeline.flush.mispredict']} of them "
+            f"BTB mispredicts), BTB hit rate {100 * hits / (hits + misses):.1f}%, "
+            f"SPI wire busy {100 * c['board.spi.busy_ticks'] / c['board.ticks']:.2f}% "
+            f"of board ticks.")
+
+
 TABLES = {
     "spec_throughput": spec_throughput,
     "fault_sweep": fault_sweep,
@@ -179,6 +200,8 @@ TABLES = {
     "fig_perf": fig_perf,
     "fig_perf_regalloc": fig_perf_regalloc,
     "fig_perf_spi": fig_perf_spi,
+    "fig4_btb": fig4_btb,
+    "telemetry": telemetry,
 }
 
 
