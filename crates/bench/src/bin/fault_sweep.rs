@@ -17,7 +17,8 @@
 //! automatically — delta-debugged to a 1-minimal fault plan with a named
 //! divergence site, written as `TRIAGE_fault_sweep_seed<N>.json`.
 //!
-//! Flags:
+//! Flags (`--help` lists them; an unknown flag, a missing value or a
+//! number that does not parse exits 2 before any work):
 //! * `--seeds N` (default 1000), `--shards N` (default: one per hardware
 //!   thread), `--json`;
 //! * `--triage-dir DIR` (where triage artifacts go; default: the
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{counters_json, emit_json, json_mode, render_table, workspace_root};
+use bench::{cli, counters_json, emit_json, render_table, workspace_root, Flag, Takes, JSON};
 use lightbulb_system::devices::FaultPlan;
 use lightbulb_system::integration::differential::{
     default_shards, fault_check_plan, fault_sweep, fault_sweep_with, FaultSweepConfig,
@@ -42,21 +43,35 @@ use lightbulb_system::integration::triage::write_atomic;
 use lightbulb_system::integration::{build_image, triage_plan};
 use obs::json::Value;
 
-fn arg_value(name: &str) -> Option<u64> {
-    arg_str(name).and_then(|v| v.parse().ok())
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+/// The flags `fault_sweep` takes.
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--seeds",
+        takes: Takes::Number,
+        help: "plan seeds to sweep, from 0 (default 1000)",
+    },
+    Flag {
+        name: "--shards",
+        takes: Takes::Number,
+        help: "shards (default: one per hardware thread)",
+    },
+    JSON,
+    Flag {
+        name: "--triage-dir",
+        takes: Takes::Path,
+        help: "where triage artifacts go (default: the workspace root)",
+    },
+    Flag {
+        name: "--triage-demo",
+        takes: Takes::Nothing,
+        help: "run the planted unrecoverable plan through triage and write its artifact",
+    },
+    Flag {
+        name: "--replay-plan",
+        takes: Takes::Path,
+        help: "re-run one plan from a fault-plan/v1 or triage-report/v1 file",
+    },
+];
 
 /// The planted unrecoverable plan for `--triage-demo`: BYTE_TEST junk far
 /// past the driver's bring-up budget (initialization can never succeed,
@@ -181,12 +196,15 @@ fn replay_file(path: &std::path::Path, quiet: bool) -> Result<Option<String>, St
 }
 
 fn main() -> ExitCode {
-    let triage_dir = arg_str("--triage-dir").map_or_else(workspace_root, PathBuf::from);
+    let args = cli(env!("CARGO_BIN_NAME"), FLAGS);
+    let triage_dir = args
+        .text("--triage-dir")
+        .map_or_else(workspace_root, PathBuf::from);
 
-    if has_flag("--triage-demo") {
+    if args.has("--triage-demo") {
         return run_triage_demo(&triage_dir);
     }
-    if let Some(path) = arg_str("--replay-plan") {
+    if let Some(path) = args.text("--replay-plan") {
         return match replay_file(std::path::Path::new(&path), false) {
             Ok(None) => ExitCode::SUCCESS,
             Ok(Some(_)) => ExitCode::from(1),
@@ -197,8 +215,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let seeds = arg_value("--seeds").unwrap_or(1000);
-    let shards = arg_value("--shards").unwrap_or(default_shards() as u64) as usize;
+    let seeds = args.number("--seeds").unwrap_or(1000);
+    let shards = args
+        .number("--shards")
+        .map_or_else(default_shards, |n| n as usize);
     let cfg = FaultSweepConfig::default();
 
     let opts = FaultSweepOptions {
@@ -234,7 +254,7 @@ fn main() -> ExitCode {
     let retried = report.counters.get("core.diff.retried_seeds");
     let recovered = report.counters.get("core.diff.recovered_seeds");
 
-    if json_mode() {
+    if args.has("--json") {
         let data = Value::obj()
             .field(
                 "workload",

@@ -16,7 +16,7 @@
 //! It also runs Figure 4's BTB ablation ([`bench::btb_ablation`]) and
 //! panics unless the branch target buffer pays for itself.
 
-use bench::{btb_ablation, emit_json, json_mode, packet_to_actuation_latency, render_table};
+use bench::{btb_ablation, cli, emit_json, packet_to_actuation_latency, render_table, JSON};
 use lightbulb_system::compiler::{compile, MmioExtCompiler};
 use lightbulb_system::devices::SpiConfig;
 use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
@@ -27,6 +27,7 @@ use obs::json::Value;
 const SPI_CYCLES_PER_BYTE: [u32; 4] = [2, 8, 32, 128];
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let verified = SystemConfig::default();
     let spi_pipelined = SystemConfig {
         driver: DriverOptions {
@@ -134,7 +135,7 @@ fn main() {
         format!("{} → {}", lat[0], lat[4]),
     ]);
 
-    if json_mode() {
+    if json {
         let factors = Value::Arr(
             (0..4)
                 .map(|i| {

@@ -35,6 +35,7 @@ fn section(title: &str, pred: &impl std::fmt::Debug) {
 }
 
 fn main() {
+    bench::cli(env!("CARGO_BIN_NAME"), &[]);
     let opts = DriverOptions::default();
     println!("The top-level specification, as constructed (verified configuration):\n");
     section("BootSeq", &spec::boot_seq(opts));

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use bench::{counters_json, emit_json, json_mode, render_table};
+use bench::{cli, counters_json, emit_json, render_table, JSON};
 use lightbulb_system::devices::{Board, FaultPlan, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
     check_compiler_differential, default_shards, parallel_sweep,
@@ -140,6 +140,7 @@ fn sweep_traces() -> Vec<[Vec<MmioEvent>; 2]> {
 }
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let image = build_image(&SystemConfig::default());
     let words = image.words();
     let bytes = image.bytes();
@@ -223,7 +224,7 @@ fn main() {
     let deterministic = report_a == report_b;
     assert!(deterministic, "sharded sweep reports must be reproducible");
 
-    if json_mode() {
+    if json {
         let cores = Value::Arr(
             rows.iter()
                 .map(|r| {

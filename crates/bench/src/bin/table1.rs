@@ -6,11 +6,12 @@
 //! that "integration verification" here means executable cross-layer
 //! checking rather than machine-checked proof.
 
-use bench::{counters_json, emit_json, json_mode, render_table, table_json};
+use bench::{cli, counters_json, emit_json, render_table, table_json, JSON};
 use lightbulb_system::integration::SystemConfig;
 use obs::json::Value;
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let criteria = [
         "Applications",
         "OS and/or drivers",
@@ -87,7 +88,7 @@ fn main() {
         .collect();
     let mut headers = vec!["criterion"];
     headers.extend(systems.iter().map(|(n, _)| *n));
-    if json_mode() {
+    if json {
         // Alongside the static matrix, ship the telemetry of one default
         // verified boot so the record carries measured counters too.
         let run = SystemConfig::default().run(&[], 250_000);

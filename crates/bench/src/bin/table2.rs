@@ -5,7 +5,7 @@
 //! items, the table is checked by the compiler: if a parameter disappears
 //! or is renamed, this binary stops building.
 
-use bench::{emit_json, json_mode, render_table, table_json};
+use bench::{cli, emit_json, render_table, table_json, JSON};
 use obs::json::Value;
 
 // The imports below ARE the verification that each listed parameter
@@ -24,6 +24,7 @@ use proglogic::symexec::ExtSpec; // vcextern (I/O load/store spec)
 use riscv_spec::MmioHandler; // I/O mechanism of the ISA // processor configuration
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let rows = vec![
         vec![
             "external-call semantics".to_string(),
@@ -67,7 +68,7 @@ fn main() {
         ],
     ];
     let headers = ["Parameter", "Used in (paper)", "Realized here as"];
-    if json_mode() {
+    if json {
         let data = Value::obj().field("rows", table_json(&headers, &rows));
         emit_json("table2", data);
         return;

@@ -8,11 +8,12 @@
 //! workspace; `BENCH_table3.json` is the recorded run.
 
 use bench::{
-    count_file, emit_json, json_mode, render_table, table_json, workspace_root, TABLE3_ROWS,
+    cli, count_file, emit_json, render_table, table_json, workspace_root, JSON, TABLE3_ROWS,
 };
 use obs::json::Value;
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let root = workspace_root();
     let count = |rel: &str| count_file(&root.join(rel));
 
@@ -36,7 +37,7 @@ fn main() {
     ]);
 
     let headers = ["component", "LoC", "file", "paper's corresponding row"];
-    if json_mode() {
+    if json {
         let data = Value::obj()
             .field("rows", table_json(&headers, &table))
             .field("total_spec_loc", Value::UInt(u64::from(total)));

@@ -10,12 +10,13 @@
 //! complexity).
 
 use bench::{
-    emit_json, json_mode, render_table, table4_counts, table_json, workspace_root, Loc,
+    cli, emit_json, render_table, table4_counts, table_json, workspace_root, Loc, JSON,
     TABLE4_LAYERS,
 };
 use obs::json::Value;
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let (layers, ws_tests) = table4_counts(&workspace_root());
     let mut rows = Vec::new();
     let mut grand = Loc::default();
@@ -58,7 +59,7 @@ fn main() {
         "overhead",
         "paper correspondence",
     ];
-    if json_mode() {
+    if json {
         let data = Value::obj()
             .field("rows", table_json(&headers, &rows))
             .field("impl_loc", Value::UInt(u64::from(grand.code)))

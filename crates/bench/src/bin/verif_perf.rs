@@ -11,7 +11,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use bench::{emit_json, json_mode, render_table};
+use bench::{cli, emit_json, render_table, JSON};
 use lightbulb_system::bedrock2::Program;
 use lightbulb_system::devices::{Board, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
@@ -95,6 +95,7 @@ fn driver_proofs() -> Vec<(&'static str, VcReport, f64)> {
 }
 
 fn main() {
+    let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
     let mut rows = Vec::new();
     // (name, seconds, work) — the numeric twin of `rows` for `--json`.
     let mut measured: Vec<(&str, f64, String)> = Vec::new();
@@ -211,7 +212,7 @@ fn main() {
     let proof_secs: f64 = proofs.iter().map(|(_, _, s)| s).sum();
     measured.push(("driver_proofs", proof_secs, work(&all)));
 
-    if json_mode() {
+    if json {
         let checks = Value::Arr(
             measured
                 .iter()

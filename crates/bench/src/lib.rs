@@ -141,10 +141,135 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
     out
 }
 
-/// True when the binary was invoked with `--json`: emit a machine-readable
-/// record (via [`emit_json`]) instead of the human table.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
+/// What a command-line flag takes after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// A non-negative integer.
+    Number,
+    /// A path.
+    Path,
+}
+
+/// One flag a bin accepts.
+#[derive(Clone, Copy, Debug)]
+pub struct Flag {
+    /// The flag as typed, `--name`.
+    pub name: &'static str,
+    /// What follows it.
+    pub takes: Takes,
+    /// One line for the usage text.
+    pub help: &'static str,
+}
+
+/// `--json`: print a machine-readable record (via [`emit_json`]) instead
+/// of the human table. Every bin that writes a `BENCH_*.json` takes it.
+pub const JSON: Flag = Flag {
+    name: "--json",
+    takes: Takes::Nothing,
+    help: "print a bench-report/v1 record on stdout instead of the table",
+};
+
+/// A parsed command line: the flags given, with their values.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Args(std::collections::BTreeMap<&'static str, String>);
+
+impl Args {
+    /// Whether `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.0.contains_key(name)
+    }
+
+    /// The value given with `name`.
+    pub fn text(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    /// The value given with a [`Takes::Number`] flag `name`.
+    pub fn number(&self, name: &str) -> Option<u64> {
+        self.text(name)
+            .map(|v| v.parse().expect("numbers are checked when parsed"))
+    }
+}
+
+/// Why a command line was not run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` was given.
+    Help,
+    /// An unknown flag, a missing value or a value that is not a number.
+    Bad(String),
+}
+
+/// Parses `args` (without the program name) against the bin's `flags`.
+/// A flag given twice keeps its last value.
+///
+/// # Errors
+///
+/// [`ArgsError::Help`] on `--help`, [`ArgsError::Bad`] on anything
+/// `flags` does not describe.
+pub fn parse_args(flags: &[Flag], args: &[String]) -> Result<Args, ArgsError> {
+    let mut parsed = Args::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--help" {
+            return Err(ArgsError::Help);
+        }
+        let flag = flags
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| ArgsError::Bad(format!("unknown argument `{arg}`")))?;
+        let value = match flag.takes {
+            Takes::Nothing => String::new(),
+            Takes::Number | Takes::Path => rest
+                .next()
+                .ok_or_else(|| ArgsError::Bad(format!("`{arg}` needs a value")))?
+                .clone(),
+        };
+        if flag.takes == Takes::Number && value.parse::<u64>().is_err() {
+            return Err(ArgsError::Bad(format!(
+                "`{arg}` needs a number, not `{value}`"
+            )));
+        }
+        parsed.0.insert(flag.name, value);
+    }
+    Ok(parsed)
+}
+
+/// The usage text of bin `bin` with `flags`.
+pub fn usage(bin: &str, flags: &[Flag]) -> String {
+    let shown = |f: &Flag| match f.takes {
+        Takes::Nothing => f.name.to_string(),
+        Takes::Number => format!("{} N", f.name),
+        Takes::Path => format!("{} PATH", f.name),
+    };
+    let width = flags.iter().map(|f| shown(f).len()).max().unwrap_or(0);
+    let mut out = format!("usage: {bin} [options]\n\noptions:\n");
+    for f in flags {
+        let _ = writeln!(out, "  {:<width$}  {}", shown(f), f.help);
+    }
+    let _ = writeln!(out, "  {:<width$}  print this text", "--help");
+    out
+}
+
+/// This process's command line, parsed against `flags`. `--help` prints
+/// the usage text and exits 0; a command line that does not parse prints
+/// the problem and the usage text to stderr and exits 2, before the bin
+/// does any work.
+pub fn cli(bin: &str, flags: &[Flag]) -> Args {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_args(flags, &args) {
+        Ok(parsed) => parsed,
+        Err(ArgsError::Help) => {
+            print!("{}", usage(bin, flags));
+            std::process::exit(0);
+        }
+        Err(ArgsError::Bad(problem)) => {
+            eprint!("{bin}: {problem}\n\n{}", usage(bin, flags));
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The machine-readable twin of [`render_table`]: each row becomes an
@@ -502,6 +627,57 @@ mod tests {
             assert_eq!(l.injected_at, WARMUP_CYCLES, "{processor:?}");
             assert!(l.cycles() > 1000, "{processor:?}: {l:?}");
         }
+    }
+
+    #[test]
+    fn command_lines_parse_or_are_refused() {
+        const FLAGS: &[Flag] = &[
+            JSON,
+            Flag {
+                name: "--seeds",
+                takes: Takes::Number,
+                help: "seeds",
+            },
+            Flag {
+                name: "--dir",
+                takes: Takes::Path,
+                help: "a directory",
+            },
+        ];
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(FLAGS, &args)
+        };
+        let args = parse("--seeds 96 --json --dir out --seeds 7").expect("parses");
+        assert!(args.has("--json"));
+        assert_eq!(args.number("--seeds"), Some(7), "the last value wins");
+        assert_eq!(args.text("--dir"), Some("out"));
+        let none = parse("").expect("parses");
+        assert_eq!((none.has("--json"), none.number("--seeds")), (false, None));
+
+        assert_eq!(parse("--json --help"), Err(ArgsError::Help));
+        for bad in [
+            "--seed 96",
+            "--seeds",
+            "--seeds x",
+            "--seeds -1",
+            "--dir",
+            "96",
+            "--json=1",
+            "-h",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad}: {:?}",
+                parse(bad)
+            );
+        }
+        let text = usage("demo", FLAGS);
+        assert!(text.starts_with("usage: demo [options]"), "{text}");
+        assert!(
+            text.contains("--seeds N") && text.contains("--dir PATH"),
+            "{text}"
+        );
     }
 
     #[test]

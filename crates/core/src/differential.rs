@@ -18,8 +18,7 @@
 
 use crate::debug_dev::DebugDevice;
 use crate::progen::ProgGen;
-use crate::system::LightbulbRun;
-use crate::system::{build_image, ProcessorKind, SystemConfig};
+use crate::system::{build_image, ProcessorKind, SystemConfig, SystemRun};
 use bedrock2::ast::Program;
 use bedrock2::semantics::Interp;
 use bedrock2_compiler::{compile, CompileOptions, CompiledProgram, MmioExtCompiler};
@@ -65,11 +64,11 @@ pub enum DiffError {
     },
     /// A run's MMIO trace fell outside the top-level trace specification —
     /// a driver-hardening bug, or a fault shape the spec does not classify.
+    /// The run stopped there, so how long it would have gone on is not
+    /// known.
     SpecViolation {
         /// Events matched before the trace left the specification.
         matched: usize,
-        /// Total events in the trace.
-        total: usize,
         /// Which machine model produced the trace.
         model: &'static str,
     },
@@ -113,14 +112,10 @@ impl std::fmt::Display for DiffError {
                 f,
                 "trace mismatch at {index}: source {source:?} vs machine {machine:?}"
             ),
-            DiffError::SpecViolation {
-                matched,
-                total,
-                model,
-            } => write!(
+            DiffError::SpecViolation { matched, model } => write!(
                 f,
                 "spec violation on the {model} model: trace leaves goodHlTrace \
-                 after {matched} of {total} events"
+                 after {matched} events"
             ),
             DiffError::WorkloadIncomplete {
                 delivered,
@@ -753,8 +748,14 @@ impl Default for FaultSweepConfig {
 ///    core must produce the identical trace, so the faulted run still
 ///    refines the ISA.
 ///
+/// The traces are checked while the models run, a block of cycles at a
+/// time: a run that leaves the specification stops in that block, and the
+/// check reports that violation, not what the run would have done later
+/// (such as a spec-machine error).
+///
 /// Driver-recovery telemetry (`devices.faults.injected`, `driver.retries`,
-/// `driver.reinit`) is added to `counters`. Reproduce a sweep failure with
+/// `driver.reinit`) is added to `counters`; on a violating run it covers
+/// the pipelined run up to its stop. Reproduce a sweep failure with
 /// `fault_check(seed, &cfg, &build_image(&cfg.system), &mut Counters::new())`.
 ///
 /// # Errors
@@ -787,70 +788,271 @@ pub fn fault_check_plan(
     image: &CompiledProgram,
     counters: &mut Counters,
 ) -> Result<(), DiffError> {
-    fault_check_against(
-        plan,
-        cfg,
-        image,
-        &good_hl_trace(cfg.system.driver),
-        counters,
-    )
+    let spec = good_hl_trace(cfg.system.driver);
+    fault_check_against(plan, cfg, image, &spec, counters).0
+}
+
+/// One model's run under a fault plan: its MMIO trace and the machine, so
+/// a triage pass can continue a run where a check stopped it.
+pub(crate) struct PlanRun {
+    kind: ProcessorKind,
+    /// The machine, unless the check dropped it once it needed only the
+    /// trace.
+    run: Option<SystemRun>,
+    /// The run's MMIO trace, taken when the run last stopped.
+    pub(crate) events: Vec<MmioEvent>,
+    /// The run reached the full budget or stopped for good, so `events`
+    /// is the whole trace of a full-budget run. Kept when the machine is
+    /// dropped.
+    finished: bool,
+}
+
+/// How a check's run ended.
+struct RunEnd {
+    /// The board's counters.
+    board: Counters,
+    /// The machine error that stopped the run, if any.
+    error: Option<String>,
+}
+
+impl PlanRun {
+    /// Builds the `kind` model's system under `plan`, fed the plan seed's
+    /// traffic: `cfg.frames` commands, alternately on and off.
+    pub(crate) fn start(
+        kind: ProcessorKind,
+        plan: &FaultPlan,
+        cfg: &FaultSweepConfig,
+        image: &CompiledProgram,
+    ) -> PlanRun {
+        let mut gen = TrafficGen::new(plan.seed);
+        let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+        let sys = SystemConfig {
+            processor: kind,
+            ..cfg.system
+        };
+        PlanRun {
+            kind,
+            run: Some(sys.start(image, plan, &frames, None)),
+            events: Vec::new(),
+            finished: false,
+        }
+    }
+
+    /// Runs on, up to the full budget, until the trace holds `needed`
+    /// events: the machine goes on, or, if the check dropped it before the
+    /// run finished, a fresh run of the same plan starts from reset.
+    pub(crate) fn extend_to(
+        &mut self,
+        needed: usize,
+        plan: &FaultPlan,
+        cfg: &FaultSweepConfig,
+        image: &CompiledProgram,
+    ) {
+        if self.finished || self.events.len() >= needed {
+            return;
+        }
+        if self.run.is_none() {
+            *self = PlanRun::start(self.kind, plan, cfg, image);
+        }
+        let mut seen = self.events.len();
+        self.run_with(cfg, |run| {
+            run.advance(cfg.max_cycles, |new| {
+                seen += new.len();
+                seen < needed
+            });
+        });
+    }
+
+    /// Runs under the adaptive budget, calling `check(new, from)` after
+    /// each block with the block's events and the index of the first; the
+    /// run stops once `check` returns `false`. A quick pass suffices for
+    /// most plans; when faults kept the workload from finishing, the same
+    /// machine runs on to the full budget. Runs are pure functions of the
+    /// plan, so the continued run equals a fresh one with the full budget,
+    /// and results stay deterministic across runs and shard counts.
+    fn run_adaptive(
+        &mut self,
+        plan: &FaultPlan,
+        cfg: &FaultSweepConfig,
+        mut check: impl FnMut(&[MmioEvent], usize) -> bool,
+    ) -> RunEnd {
+        let mut seen = 0;
+        let mut observe = |new: &[MmioEvent]| {
+            seen += new.len();
+            check(new, seen - new.len())
+        };
+        self.run_with(cfg, |run| {
+            if run.advance(cfg.quick_cycles, &mut observe)
+                && !workload_done(&run.board().counters(), plan, cfg)
+            {
+                run.advance(cfg.max_cycles, &mut observe);
+            }
+            RunEnd {
+                board: run.board().counters(),
+                error: run.error(),
+            }
+        })
+    }
+
+    /// Runs the machine with `run`, then takes its trace.
+    fn run_with<T>(&mut self, cfg: &FaultSweepConfig, run: impl FnOnce(&mut SystemRun) -> T) -> T {
+        let machine = self.run.as_mut().expect("a run with its machine");
+        let out = run(machine);
+        self.events = machine.events();
+        let m = machine.model();
+        self.finished = m.halted() || m.cycles() >= cfg.max_cycles;
+        out
+    }
+}
+
+/// The model runs of one check, as far as the check took them.
+pub(crate) struct CheckRuns {
+    pub(crate) pipelined: PlanRun,
+    /// Absent when the pipelined run already failed the check.
+    pub(crate) spec_machine: Option<PlanRun>,
 }
 
 /// [`fault_check_plan`] against a prebuilt `spec` (which must be
 /// `good_hl_trace(cfg.system.driver)`), so a sweep or a triage pass builds
-/// the specification once. One [`Monitor`] checks the pipelined trace and
-/// then the spec-machine trace, reusing the states the first trace built.
+/// the specification once. Returns the verdict and the model runs as the
+/// check left them.
+///
+/// One [`Monitor`] checks the pipelined trace as it is produced. The spec
+/// machine's trace is then compared with the pipelined one as it arrives
+/// ([`SecondTrace`]): the monitor steps only on the events where it leaves
+/// or outgrows that already accepted trace.
 pub(crate) fn fault_check_against(
     plan: &FaultPlan,
     cfg: &FaultSweepConfig,
     image: &CompiledProgram,
     spec: &TracePred,
     counters: &mut Counters,
-) -> Result<(), DiffError> {
-    check_runs(plan, cfg, image, spec, counters, run_adaptive)
-}
-
-/// One model's run under the adaptive budget: a quick pass suffices for
-/// most plans; when faults kept the workload from finishing, the same
-/// machine runs on to the full budget. Runs are pure functions of the
-/// seed, so the continued run equals a fresh one with the full budget, and
-/// results stay deterministic across runs and shard counts.
-fn run_adaptive(
-    sys: &SystemConfig,
-    image: &CompiledProgram,
-    plan: &FaultPlan,
-    frames: &[Vec<u8>],
-    cfg: &FaultSweepConfig,
-) -> LightbulbRun {
-    let mut run = sys.start(image, plan, frames, None);
-    let quick = run.run_to(cfg.quick_cycles);
-    if workload_done(&quick, plan, cfg) || cfg.max_cycles <= cfg.quick_cycles {
-        quick
-    } else {
-        run.run_to(cfg.max_cycles)
+) -> (Result<(), DiffError>, CheckRuns) {
+    let mut monitor = Monitor::new(spec);
+    let mut violation = None;
+    let mut pipe = PlanRun::start(ProcessorKind::Pipelined, plan, cfg, image);
+    let pipe_end = pipe.run_adaptive(plan, cfg, |new, from| {
+        violation = new.iter().position(|e| !monitor.step(e)).map(|k| from + k);
+        violation.is_none()
+    });
+    let activity = probe::scan(&pipe.events);
+    counters.add(
+        "devices.faults.injected",
+        pipe_end.board.get("devices.faults.injected"),
+    );
+    counters.add("driver.retries", activity.retries);
+    counters.add("driver.reinit", activity.reinits);
+    if let Some(matched) = violation {
+        let error = DiffError::SpecViolation {
+            matched,
+            model: "pipelined",
+        };
+        let runs = CheckRuns {
+            pipelined: pipe,
+            spec_machine: None,
+        };
+        return (Err(error), runs);
     }
+    // From here on the check needs only the pipelined trace, so the
+    // machine does not stay in memory next to the spec machine.
+    pipe.run = None;
+
+    let mut sm = PlanRun::start(ProcessorKind::SpecMachine, plan, cfg, image);
+    let mut second = SecondTrace {
+        first: &pipe.events,
+        monitor: &mut monitor,
+        follows: true,
+    };
+    let sm_end = sm.run_adaptive(plan, cfg, |new, from| {
+        violation = second.check(new, from);
+        violation.is_none()
+    });
+    let result = check_spec_machine_run(&pipe_end, &sm_end, violation, plan, cfg).and_then(|()| {
+        replay_into_spec_core(image, cfg.system.ram_bytes, &pipe.events, cfg.max_cycles)
+    });
+    let runs = CheckRuns {
+        pipelined: pipe,
+        spec_machine: Some(sm),
+    };
+    (result, runs)
 }
 
-/// How [`check_runs`] runs one machine model on a plan.
-pub(crate) type ModelRunner =
-    fn(&SystemConfig, &CompiledProgram, &FaultPlan, &[Vec<u8>], &FaultSweepConfig) -> LightbulbRun;
-
-/// Runs `plan` on the `kind` model with `run_on`, against the plan seed's
-/// traffic: `cfg.frames` commands, alternately on and off.
-pub(crate) fn run_model(
-    kind: ProcessorKind,
+/// The verdicts on a finished spec-machine run, `violation` being where
+/// its trace left the specification: the violation (the run stopped
+/// there), the machine error, then (under
+/// [`FaultSweepConfig::require_done`]) the workload on both models.
+fn check_spec_machine_run(
+    pipe: &RunEnd,
+    sm: &RunEnd,
+    violation: Option<usize>,
     plan: &FaultPlan,
     cfg: &FaultSweepConfig,
-    image: &CompiledProgram,
-    run_on: ModelRunner,
-) -> LightbulbRun {
-    let mut gen = TrafficGen::new(plan.seed);
-    let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
-    let sys = SystemConfig {
-        processor: kind,
-        ..cfg.system
-    };
-    run_on(&sys, image, plan, &frames, cfg)
+) -> Result<(), DiffError> {
+    if let Some(matched) = violation {
+        return Err(DiffError::SpecViolation {
+            matched,
+            model: "spec machine",
+        });
+    }
+    if let Some(e) = &sm.error {
+        return Err(DiffError::MachineError(format!(
+            "spec machine under fault plan {}: {e}",
+            plan.seed
+        )));
+    }
+    if cfg.require_done
+        && (!workload_done(&pipe.board, plan, cfg) || !workload_done(&sm.board, plan, cfg))
+    {
+        let delivered = pipe
+            .board
+            .get("board.lan9250.frames_delivered")
+            .min(sm.board.get("board.lan9250.frames_delivered"));
+        return Err(DiffError::WorkloadIncomplete {
+            delivered,
+            expected: expected_arrivals(plan, cfg),
+        });
+    }
+    Ok(())
+}
+
+/// Checks a second trace of the same plan against the specification, as
+/// it arrives, after the `first` trace passed whole with `monitor`. While
+/// the second trace follows the first, its events are known good and the
+/// monitor does not step. Past the first trace's end, the monitor goes on
+/// from where the first trace left it. Where the second trace departs
+/// earlier, the monitor re-matches it from the start and steps on from
+/// there.
+struct SecondTrace<'f, 'm, 's> {
+    first: &'f [MmioEvent],
+    monitor: &'m mut Monitor<'s>,
+    /// The second trace so far equals the first trace's prefix.
+    follows: bool,
+}
+
+impl SecondTrace<'_, '_, '_> {
+    /// Checks `new`, the second trace's events from index `from` on: the
+    /// index of the first event after which the trace is no longer a
+    /// prefix of a member, if any.
+    fn check(&mut self, new: &[MmioEvent], from: usize) -> Option<usize> {
+        for (i, e) in (from..).zip(new) {
+            if self.follows {
+                if self.first.get(i) == Some(e) {
+                    continue;
+                }
+                self.follows = false;
+                if i < self.first.len() {
+                    // The second trace so far is the first one's prefix,
+                    // which passed.
+                    let passed = self.monitor.first_violation(&self.first[..i]).is_none();
+                    debug_assert!(passed, "a prefix of a passing trace passes");
+                }
+            }
+            if !self.monitor.step(e) {
+                return Some(i);
+            }
+        }
+        None
+    }
 }
 
 /// Frames the plan drops never reach the chip; everything else must be
@@ -865,65 +1067,9 @@ fn expected_arrivals(plan: &FaultPlan, cfg: &FaultSweepConfig) -> u64 {
             .count() as u64
 }
 
-fn workload_done(run: &LightbulbRun, plan: &FaultPlan, cfg: &FaultSweepConfig) -> bool {
-    run.report.counters.get("board.lan9250.frames_delivered") >= expected_arrivals(plan, cfg)
-        && run.report.counters.get("board.lan9250.frames_pending") == 0
-}
-
-/// The body of [`fault_check_against`], with each model run by `run_on`.
-fn check_runs(
-    plan: &FaultPlan,
-    cfg: &FaultSweepConfig,
-    image: &CompiledProgram,
-    spec: &TracePred,
-    counters: &mut Counters,
-    run_on: ModelRunner,
-) -> Result<(), DiffError> {
-    let mut monitor = Monitor::new(spec);
-    let pipe = run_model(ProcessorKind::Pipelined, plan, cfg, image, run_on);
-    let activity = probe::scan(&pipe.events);
-    counters.add(
-        "devices.faults.injected",
-        pipe.report.counters.get("devices.faults.injected"),
-    );
-    counters.add("driver.retries", activity.retries);
-    counters.add("driver.reinit", activity.reinits);
-    if let Some(matched) = monitor.first_violation(&pipe.events) {
-        return Err(DiffError::SpecViolation {
-            matched,
-            total: pipe.events.len(),
-            model: "pipelined",
-        });
-    }
-
-    let sm = run_model(ProcessorKind::SpecMachine, plan, cfg, image, run_on);
-    if let Some(e) = sm.error {
-        return Err(DiffError::MachineError(format!(
-            "spec machine under fault plan {}: {e}",
-            plan.seed
-        )));
-    }
-    if let Some(matched) = monitor.first_violation(&sm.events) {
-        return Err(DiffError::SpecViolation {
-            matched,
-            total: sm.events.len(),
-            model: "spec machine",
-        });
-    }
-
-    if cfg.require_done && (!workload_done(&pipe, plan, cfg) || !workload_done(&sm, plan, cfg)) {
-        let delivered = pipe
-            .report
-            .counters
-            .get("board.lan9250.frames_delivered")
-            .min(sm.report.counters.get("board.lan9250.frames_delivered"));
-        return Err(DiffError::WorkloadIncomplete {
-            delivered,
-            expected: expected_arrivals(plan, cfg),
-        });
-    }
-
-    replay_into_spec_core(image, cfg.system.ram_bytes, &pipe.events, cfg.max_cycles)
+fn workload_done(board: &Counters, plan: &FaultPlan, cfg: &FaultSweepConfig) -> bool {
+    board.get("board.lan9250.frames_delivered") >= expected_arrivals(plan, cfg)
+        && board.get("board.lan9250.frames_pending") == 0
 }
 
 /// Replays a recorded MMIO trace into the single-cycle spec core and
@@ -1021,6 +1167,7 @@ pub fn fault_sweep_with(
             &spec,
             counters,
         )
+        .0
     });
 
     // Failing seeds were classified at full escalation; triage probes the
@@ -1101,121 +1248,165 @@ mod tests {
         assert_eq!(sharded.shards, 4);
     }
 
-    /// The adaptive budget before runs were resumable: when the quick pass
-    /// leaves the workload unfinished, rerun from reset with the full
-    /// budget. The oracle for [`run_adaptive`].
-    fn run_from_scratch(
-        sys: &SystemConfig,
-        image: &CompiledProgram,
-        plan: &FaultPlan,
-        frames: &[Vec<u8>],
-        cfg: &FaultSweepConfig,
-    ) -> LightbulbRun {
-        let quick = sys.run_faulted(image, plan, frames, cfg.quick_cycles);
-        if workload_done(&quick, plan, cfg) || cfg.max_cycles <= cfg.quick_cycles {
-            quick
-        } else {
-            sys.run_faulted(image, plan, frames, cfg.max_cycles)
-        }
-    }
-
-    /// True when `plan` leaves the workload unfinished on `kind` after the
-    /// quick pass, so [`run_adaptive`] has to continue the run.
-    fn escalates(
-        plan: &FaultPlan,
-        cfg: &FaultSweepConfig,
-        image: &CompiledProgram,
+    /// One model's run at the adaptive budget, rebuilt from reset: the
+    /// quick pass and, when it left the workload unfinished, a fresh run
+    /// with the full budget. Returns the run and whether it escalated.
+    fn run_from_reset(
         kind: ProcessorKind,
-    ) -> bool {
-        let quick = run_model(kind, plan, cfg, image, |sys, image, plan, frames, cfg| {
-            sys.run_faulted(image, plan, frames, cfg.quick_cycles)
-        });
-        !workload_done(&quick, plan, cfg)
+        plan: &FaultPlan,
+        cfg: &FaultSweepConfig,
+        image: &CompiledProgram,
+    ) -> (crate::LightbulbRun, bool) {
+        let mut gen = TrafficGen::new(plan.seed);
+        let frames: Vec<Vec<u8>> = (0..cfg.frames).map(|i| gen.command(i % 2 == 0)).collect();
+        let sys = SystemConfig {
+            processor: kind,
+            ..cfg.system
+        };
+        let quick = sys.run_faulted(image, plan, &frames, cfg.quick_cycles);
+        if workload_done(&quick.report.counters, plan, cfg) {
+            (quick, false)
+        } else {
+            (sys.run_faulted(image, plan, &frames, cfg.max_cycles), true)
+        }
     }
 
     #[test]
     fn resuming_the_quick_pass_equals_rerunning_from_reset() {
         let cfg = FaultSweepConfig::default();
         let image = build_image(&cfg.system);
-        let spec = good_hl_trace(cfg.system.driver);
         // Seed 4 leaves the pipelined workload unfinished after the quick
-        // pass; seeds 3 and 5 finish within it.
-        let seeds = 3..6;
-        let pipelined = ProcessorKind::Pipelined;
-        assert!(escalates(&FaultPlan::from_seed(4), &cfg, &image, pipelined));
-        assert!(!escalates(
-            &FaultPlan::from_seed(5),
-            &cfg,
-            &image,
-            pipelined
-        ));
-        let sweep = |runner: ModelRunner| {
-            resilient_sweep(
-                seeds.clone(),
-                1,
-                RetryPolicy::default(),
-                |seed, _, counters| {
-                    check_runs(
-                        &FaultPlan::from_seed(seed),
-                        &cfg,
-                        &image,
-                        &spec,
-                        counters,
-                        runner,
-                    )
-                },
-            )
-        };
-        let (resumed, rerun) = (sweep(run_adaptive), sweep(run_from_scratch));
-        assert_eq!(resumed.total, 3);
-        assert_eq!(resumed.to_json().render(), rerun.to_json().render());
-        for seed in seeds.clone() {
-            let plan = FaultPlan::from_seed(seed);
-            let (mut a, mut b) = (Counters::new(), Counters::new());
-            let ra = check_runs(&plan, &cfg, &image, &spec, &mut a, run_adaptive);
-            let rb = check_runs(&plan, &cfg, &image, &spec, &mut b, run_from_scratch);
-            assert_eq!(ra, rb, "seed {seed}");
-            assert_eq!(a, b, "seed {seed}");
+        // pass; seeds 3 and 5 finish within it. The bring-up junk plan
+        // never finishes, on either model.
+        let junk = FaultPlan::from_atoms(7, &[devices::FaultAtom::ByteTestJunk(10_000)]);
+        let plans = [3, 4, 5].map(FaultPlan::from_seed);
+        let mut escalated = Vec::new();
+        for plan in plans.iter().chain([&junk]) {
+            for kind in [ProcessorKind::Pipelined, ProcessorKind::SpecMachine] {
+                let label = format!("plan seed {} on {kind:?}", plan.seed);
+                let (fresh, escalates) = run_from_reset(kind, plan, &cfg, &image);
+                let mut resumed = PlanRun::start(kind, plan, &cfg, &image);
+                let end = resumed.run_adaptive(plan, &cfg, |_, _| true);
+                assert_eq!(resumed.events, fresh.events, "{label}");
+                for (name, value) in end.board.iter() {
+                    assert_eq!(value, fresh.report.counters.get(name), "{label}: {name}");
+                }
+                // Only a run that went on to the full budget is finished.
+                assert_eq!(resumed.finished, escalates, "{label}");
+                escalated.push((plan.seed, kind, escalates));
+            }
         }
-
-        // A liveness failure escalates on both models, the spec machine
-        // included, and must fail identically either way.
-        let live = FaultSweepConfig {
-            require_done: true,
-            ..cfg.clone()
-        };
-        let plan = FaultPlan::from_atoms(7, &[devices::FaultAtom::ByteTestJunk(10_000)]);
-        assert!(escalates(&plan, &live, &image, pipelined));
-        assert!(escalates(&plan, &live, &image, ProcessorKind::SpecMachine));
-        let (mut a, mut b) = (Counters::new(), Counters::new());
-        let ra = check_runs(&plan, &live, &image, &spec, &mut a, run_adaptive);
-        let rb = check_runs(&plan, &live, &image, &spec, &mut b, run_from_scratch);
-        assert!(
-            matches!(ra, Err(DiffError::WorkloadIncomplete { .. })),
-            "{ra:?}"
-        );
-        assert_eq!(ra, rb);
-        assert_eq!(a, b);
+        let pipelined = ProcessorKind::Pipelined;
+        assert!(escalated.contains(&(4, pipelined, true)));
+        assert!(escalated.contains(&(5, pipelined, false)));
+        assert!(escalated.contains(&(7, pipelined, true)));
+        assert!(escalated.contains(&(7, ProcessorKind::SpecMachine, true)));
     }
 
-    /// Negative controls for the replay step of [`check_runs`]: a real
-    /// quick-pass pipelined trace (plan seed 4) replays clean, and each of
-    /// three single-event corruptions is caught at exactly its index.
+    /// An image whose drivers poll without timeouts, and a plan whose RX
+    /// stall keeps them polling past what `goodHlTrace` allows.
+    fn unbounded_poll(cfg: &FaultSweepConfig) -> (CompiledProgram, FaultPlan) {
+        let system = SystemConfig {
+            driver: lightbulb::DriverOptions {
+                timeouts: false,
+                ..cfg.system.driver
+            },
+            ..cfg.system
+        };
+        let plan = FaultPlan::from_atoms(3, &[devices::FaultAtom::RxStall(750, 300)]);
+        (build_image(&system), plan)
+    }
+
+    #[test]
+    fn a_violating_pipelined_run_stops_before_the_quick_budget() {
+        let cfg = FaultSweepConfig::default();
+        let (image, plan) = unbounded_poll(&cfg);
+        let spec = good_hl_trace(cfg.system.driver);
+        let (result, mut runs) =
+            fault_check_against(&plan, &cfg, &image, &spec, &mut Counters::new());
+        let Err(DiffError::SpecViolation { matched, model }) = result else {
+            panic!("expected a spec violation, got {result:?}");
+        };
+        assert_eq!(model, "pipelined");
+        assert!(runs.spec_machine.is_none(), "the spec machine never ran");
+        let pipe = &mut runs.pipelined;
+        assert!(matched < pipe.events.len(), "the violating event was run");
+        let machine = pipe.run.as_mut().expect("a stopped run keeps its machine");
+        let cycles = machine.model().cycles();
+        assert!(
+            cycles < cfg.quick_cycles,
+            "the run went on to cycle {cycles} after leaving the spec at event {matched}"
+        );
+    }
+
+    /// The events of `pattern` (`a` to `d` are stores to addresses 1
+    /// to 4).
+    fn synthetic(pattern: &str) -> Vec<MmioEvent> {
+        pattern
+            .bytes()
+            .map(|c| MmioEvent::store(u32::from(c - b'a') + 1, 0))
+            .collect()
+    }
+
+    /// [`SecondTrace::check`] on `second` after `first` passed whole, fed
+    /// in blocks of `block` events.
+    fn check_second(spec: &TracePred, first: &str, second: &str, block: usize) -> Option<usize> {
+        let (first, second) = (synthetic(first), synthetic(second));
+        let mut monitor = Monitor::new(spec);
+        assert_eq!(monitor.first_violation(&first), None, "first trace passes");
+        let mut check = SecondTrace {
+            first: &first,
+            monitor: &mut monitor,
+            follows: true,
+        };
+        second
+            .chunks(block)
+            .enumerate()
+            .find_map(|(k, new)| check.check(new, k * block))
+    }
+
+    #[test]
+    fn a_second_trace_is_checked_where_it_leaves_the_first() {
+        use proglogic::trace::st;
+        // a b c* | a b d*: which loop runs is fixed by the first event
+        // after `ab`, so a trace's state depends on where it is.
+        let (a, b) = (st(1), st(2));
+        let spec = a.then(&b).then(&st(3).star().or(&st(4).star()));
+        for block in [1, 2, 3, 64] {
+            let check = |second| check_second(&spec, "abcc", second, block);
+            // Following the first trace, or stopping short of its end.
+            assert_eq!(check("abcc"), None);
+            assert_eq!(check("ab"), None);
+            // Past the first trace's end, from where it left the monitor.
+            assert_eq!(check("abcccc"), None);
+            assert_eq!(check("abccd"), Some(4));
+            // Leaving the first trace before its end, and violating there.
+            assert_eq!(check("ac"), Some(1));
+            assert_eq!(check("abcd"), Some(3));
+            // Leaving it early onto the other loop, re-matched from the
+            // start, and violating later.
+            assert_eq!(check("abdd"), None);
+            assert_eq!(check("abdc"), Some(3));
+        }
+    }
+
+    /// Negative controls for the replay step of [`fault_check_against`]: a
+    /// real quick-pass pipelined trace (plan seed 4) replays clean, and
+    /// each of three single-event corruptions is caught at exactly its
+    /// index.
     #[test]
     fn replay_catches_each_corrupted_event_at_its_index() {
         use riscv_spec::MmioEventKind;
         let cfg = FaultSweepConfig::default();
         let image = build_image(&cfg.system);
         let plan = FaultPlan::from_seed(4);
-        let pipelined = ProcessorKind::Pipelined;
-        let events = run_model(
-            pipelined,
-            &plan,
-            &cfg,
-            &image,
-            |sys, image, plan, frames, cfg| sys.run_faulted(image, plan, frames, cfg.quick_cycles),
-        )
-        .events;
+        let quick = FaultSweepConfig {
+            max_cycles: cfg.quick_cycles,
+            ..cfg.clone()
+        };
+        let mut run = PlanRun::start(ProcessorKind::Pipelined, &plan, &quick, &image);
+        run.extend_to(usize::MAX, &plan, &quick, &image);
+        let events = run.events;
         let replay = |events: &[MmioEvent]| {
             replay_into_spec_core(&image, cfg.system.ram_bytes, events, cfg.max_cycles)
         };

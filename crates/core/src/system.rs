@@ -206,26 +206,58 @@ impl SystemConfig {
         SystemRun {
             model,
             compiler: image.stats.counters(),
+            seen: 0,
         }
     }
 }
+
+/// Cycles (retired instructions, for the spec machine) per block of
+/// [`SystemRun::advance`]: long enough that a block's dynamic call and
+/// event copy cost nothing next to its simulation, short enough that a
+/// checked run stops soon after its trace leaves the specification.
+const BLOCK: u64 = 4096;
 
 /// A built system whose machine model keeps its state between runs.
 pub struct SystemRun {
     model: Box<dyn Model<Board>>,
     /// The image's compile counters, the base of every report.
     compiler: Counters,
+    /// MMIO events already handed to an observer of
+    /// [`SystemRun::advance`].
+    seen: usize,
 }
 
 impl SystemRun {
-    /// Runs on until `max_cycles` cycles (retired instructions, for the
-    /// spec machine) have elapsed since reset, and reports the whole run
-    /// so far. Runs are deterministic, so a run continued to `max_cycles`
-    /// equals one started with that budget. A machine that halted or hit
-    /// an error does not run again.
-    pub fn run_to(&mut self, max_cycles: u64) -> LightbulbRun {
+    /// Runs on in blocks until `max_cycles` cycles (retired instructions,
+    /// for the spec machine) have elapsed since reset, handing each
+    /// block's new MMIO events to `observe`. The run stops after the first
+    /// block `observe` returns `false` for, which is what `advance` then
+    /// returns; it returns `true` when the run reached `max_cycles` or
+    /// the machine halted or hit an error (such a machine does not run
+    /// again). Runs are deterministic, so a run continued to `max_cycles`
+    /// equals one started with that budget, whatever its blocks.
+    pub fn advance(
+        &mut self,
+        max_cycles: u64,
+        mut observe: impl FnMut(&[MmioEvent]) -> bool,
+    ) -> bool {
         let m = &mut *self.model;
-        m.run_to(max_cycles);
+        while m.cycles() < max_cycles && !m.halted() {
+            m.run_to(max_cycles.min(m.cycles() + BLOCK));
+            let new = m.events_since(self.seen);
+            self.seen += new.len();
+            if !observe(&new) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// [`SystemRun::advance`] with no observer, reporting the whole run
+    /// so far.
+    pub fn run_to(&mut self, max_cycles: u64) -> LightbulbRun {
+        self.advance(max_cycles, |_| true);
+        let m = &*self.model;
         let board = m.device();
         let mut counters = self.compiler.clone();
         counters.merge(&m.counters());
@@ -247,6 +279,21 @@ impl SystemRun {
     /// The machine model, for drivers that step it themselves.
     pub fn model(&mut self) -> &mut dyn Model<Board> {
         &mut *self.model
+    }
+
+    /// The MMIO trace so far.
+    pub(crate) fn events(&self) -> Vec<MmioEvent> {
+        self.model.events_since(0)
+    }
+
+    /// The board the machine model drives.
+    pub(crate) fn board(&self) -> &Board {
+        self.model.device()
+    }
+
+    /// The machine error that stopped the run, if any.
+    pub(crate) fn error(&self) -> Option<String> {
+        self.model.error()
     }
 }
 

@@ -15,17 +15,20 @@
 //!   interaction-count-keyed and independent, so any subset is a valid
 //!   plan ([`devices::FaultPlan::from_atoms`]).
 //! * [`triage_seed`] / [`triage_plan`] — run the minimizer on a failing
-//!   seed, then rerun both machine models under the minimal plan to name
-//!   the divergence site: the first MMIO event index where the models (or
-//!   the trace and its spec) part ways, with a trace-suffix window from
-//!   each model around that index.
+//!   seed, then name the divergence site under the minimal plan: the
+//!   first MMIO event index where the models (or the trace and its spec)
+//!   part ways, with a trace-suffix window from each model around that
+//!   index. Each failing probe names its site on the runs its check has
+//!   just made, continued only as far as the window needs; ddmin's last
+//!   failing probe is the minimal plan's, so no model reruns from reset at
+//!   the full budget.
 //!
 //! The output is a [`TriageReport`]: minimal plan, named divergence site,
 //! both suffixes, and a one-line repro command — everything
 //! `SweepReport::expect_clean` quotes and `fault_sweep --triage-dir`
 //! writes to disk.
 
-use crate::differential::{fault_check_against, run_model, DiffError, FaultSweepConfig};
+use crate::differential::{fault_check_against, CheckRuns, DiffError, FaultSweepConfig, PlanRun};
 use crate::system::ProcessorKind;
 use bedrock2_compiler::CompiledProgram;
 use devices::FaultPlan;
@@ -77,8 +80,7 @@ impl TriageSummary {
 }
 
 /// Where a failing run leaves the specification (or the models leave each
-/// other), located by rerunning both machine models under the *minimal*
-/// plan.
+/// other), located on both machine models' runs under the *minimal* plan.
 #[derive(Clone, Debug)]
 pub struct DivergenceSite {
     /// MMIO-event index of the first disagreement.
@@ -229,21 +231,42 @@ pub fn triage_plan(
     image: &CompiledProgram,
 ) -> Option<TriageReport> {
     let spec = good_hl_trace(cfg.system.driver);
+    // ddmin's last failing probe is the minimal plan's, so each failing
+    // probe locates its divergence on the runs its check has just made,
+    // and the last site found is the minimal plan's. Only the site is
+    // kept: holding the runs while later probes run would cost memory.
+    let mut site = None;
     // A probe that panics still "fails" — the minimizer must be able to
     // shrink panicking counterexamples, and an unwinding probe would
     // otherwise tear down the triage pass itself.
     let fails = |candidate: &FaultPlan| -> Option<DiffError> {
-        match catch_unwind(AssertUnwindSafe(|| {
+        let checked = catch_unwind(AssertUnwindSafe(|| {
             fault_check_against(candidate, cfg, image, &spec, &mut Counters::new())
-        })) {
-            Ok(result) => result.err(),
-            Err(_) => Some(DiffError::MachineError(
-                "check panicked under this plan".to_string(),
-            )),
+        }));
+        match checked {
+            Ok((Ok(()), _)) => None,
+            Ok((Err(error), runs)) => {
+                site = Some(locate_divergence(
+                    candidate,
+                    &error,
+                    cfg,
+                    image,
+                    &spec,
+                    Some(runs),
+                ));
+                Some(error)
+            }
+            Err(_) => {
+                site = None;
+                Some(DiffError::MachineError(
+                    "check panicked under this plan".to_string(),
+                ))
+            }
         }
     };
     let (minimal, error, probes) = shrink_plan(plan, fails)?;
-    let site = locate_divergence(&minimal, &error, cfg, image, &spec);
+    // A panicking last probe left no runs: locate on fresh ones.
+    let site = site.unwrap_or_else(|| locate_divergence(&minimal, &error, cfg, image, &spec, None));
     Some(TriageReport {
         seed: plan.seed,
         original: plan.clone(),
@@ -254,27 +277,39 @@ pub fn triage_plan(
     })
 }
 
-/// Runs both machine models under `plan` at the full budget and names the
-/// first MMIO event where the failure manifests, with a context window
-/// from each model's trace.
+/// Names the first MMIO event where the failure of `plan` manifests, with
+/// a context window from each model's trace, as both models run under the
+/// full budget. `runs` are the check's runs of `plan`, continued only as
+/// far as the window needs; a model without one runs afresh.
 fn locate_divergence(
     plan: &FaultPlan,
     error: &DiffError,
     cfg: &FaultSweepConfig,
     image: &CompiledProgram,
     spec: &TracePred,
+    runs: Option<CheckRuns>,
 ) -> DivergenceSite {
-    let run = |kind: ProcessorKind| {
+    // A failure with an index needs the traces up to the window's end;
+    // any other compares the whole traces.
+    let needed = match error {
+        DiffError::TraceMismatch { index, .. }
+        | DiffError::SpecViolation { matched: index, .. } => index.saturating_add(SUFFIX_AFTER),
+        _ => usize::MAX,
+    };
+    let events = |kind: ProcessorKind, run: Option<PlanRun>| {
         catch_unwind(AssertUnwindSafe(|| {
-            run_model(kind, plan, cfg, image, |sys, image, plan, frames, cfg| {
-                sys.run_faulted(image, plan, frames, cfg.max_cycles)
-            })
-            .events
+            let mut run = run.unwrap_or_else(|| PlanRun::start(kind, plan, cfg, image));
+            run.extend_to(needed, plan, cfg, image);
+            run.events
         }))
         .unwrap_or_default()
     };
-    let pipe = run(ProcessorKind::Pipelined);
-    let sm = run(ProcessorKind::SpecMachine);
+    let (pipe_run, sm_run) = match runs {
+        Some(r) => (Some(r.pipelined), r.spec_machine),
+        None => (None, None),
+    };
+    let pipe = events(ProcessorKind::Pipelined, pipe_run);
+    let sm = events(ProcessorKind::SpecMachine, sm_run);
 
     let first_model_mismatch = || {
         (0..pipe.len().max(sm.len()))
@@ -382,13 +417,8 @@ pub(crate) fn error_to_json(e: &DiffError) -> Value {
             .field("index", Value::UInt(*index as u64))
             .field("source", opt_event_to_json(source))
             .field("machine", opt_event_to_json(machine)),
-        DiffError::SpecViolation {
-            matched,
-            total,
-            model,
-        } => kind("spec_violation")
+        DiffError::SpecViolation { matched, model } => kind("spec_violation")
             .field("matched", Value::UInt(*matched as u64))
-            .field("total", Value::UInt(*total as u64))
             .field("model", Value::Str((*model).to_string())),
         DiffError::WorkloadIncomplete {
             delivered,

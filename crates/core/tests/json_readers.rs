@@ -53,7 +53,6 @@ fn triage_document() -> String {
         probes: 9,
         error: DiffError::SpecViolation {
             matched: 118,
-            total: 131,
             model: "spec machine",
         },
         site: DivergenceSite {

@@ -86,6 +86,19 @@ run_budgeted fig_perf 180 cargo run --release -p bench --bin fig_perf >/dev/null
 run_budgeted verif_perf 120 cargo run --release -p bench --bin verif_perf >/dev/null
 run_budgeted spec_throughput 120 cargo run --release -p bench --bin spec_throughput >/dev/null
 
+echo "== bench command lines =="
+# A misspelt flag must not fall back to a default run: --help prints the
+# usage and exits 0, an unknown flag exits 2, both before any sweep.
+run_budgeted "fault_sweep --help" 30 \
+  cargo run --release -q -p bench --bin fault_sweep -- --help >/tmp/fault_sweep_help.txt
+grep -q '^usage: fault_sweep' /tmp/fault_sweep_help.txt
+status=0
+cargo run --release -q -p bench --bin fault_sweep -- --seed 96 >/tmp/fault_sweep_bad.txt 2>&1 || status=$?
+if [ "$status" != 2 ] || grep -q 'seeds swept' /tmp/fault_sweep_bad.txt; then
+  echo "fault_sweep --seed 96 must exit 2 without sweeping (exit $status)" >&2
+  exit 1
+fi
+
 echo "== fault-sweep smoke (budgeted wall clock) =="
 # Bounded version of the full 1000-seed sweep (BENCH_fault_sweep.json):
 # every seeded fault plan must stay recoverable on both machine models,

@@ -193,7 +193,6 @@ fn hard_failures_are_not_retried() {
         calls.fetch_add(1, Ordering::Relaxed);
         Err(DiffError::SpecViolation {
             matched: 1,
-            total: 2,
             model: "pipelined",
         })
     });
