@@ -3,20 +3,22 @@
 //! differential sweep. `--json` prints a `bench-report/v1` record on
 //! stdout (the committed one is `BENCH_spec_throughput.json`).
 //!
-//! Four execution cores run the same booted lightbulb image for a fixed
+//! Five execution cores run the same booted lightbulb image for a fixed
 //! instruction budget: the spec machine with the decode cache (the default
 //! everyone now gets), the seed configuration (cache off, per-step loop),
-//! the single-cycle hardware model, and the pipelined hardware model. Each
-//! row is the fastest of `REPS` runs taken in turn with the other cores,
-//! timed in thread CPU time (wall clock off 64-bit Linux). In the same
-//! rounds the streaming trace monitor checks the quick-pass traces of
-//! fault-sweep plan seeds 0–7 on both machine models, one cold `Monitor`
-//! per seed as the sweep builds it; its events per second over the cached
-//! spec machine's steps per second is the matcher ratio
-//! `scripts/bench_gate.sh` gates. The differential section times the
-//! same 40-seed compiler sweep serially and sharded across every hardware
-//! thread, and self-checks that the sharded sweep's counter report is
-//! byte-for-byte deterministic across runs.
+//! the single-cycle hardware model, the pipelined hardware model, and the
+//! single-cycle replay (`processor::replay_trace` of a pipelined run's
+//! trace, recorded outside the timer, counting the replayed core's
+//! retired instructions). Each row is the fastest of `REPS` runs taken in
+//! turn with the other cores, timed in thread CPU time (wall clock off
+//! 64-bit Linux). In the same rounds the streaming trace monitor checks
+//! the quick-pass traces of fault-sweep plan seeds 0–7 on both machine
+//! models, one cold `Monitor` per seed as the sweep builds it; its events
+//! per second over the cached spec machine's steps per second is the
+//! matcher ratio `scripts/bench_gate.sh` gates. The differential section
+//! times the same 40-seed compiler sweep serially and sharded across every
+//! hardware thread, and self-checks that the sharded sweep's counter
+//! report is byte-for-byte deterministic across runs.
 
 use std::time::Instant;
 
@@ -27,7 +29,7 @@ use lightbulb_system::integration::differential::{
 };
 use lightbulb_system::integration::{build_image, FaultSweepConfig, ProcessorKind, SystemConfig};
 use lightbulb_system::lightbulb::good_hl_trace;
-use lightbulb_system::processor::{PipelineConfig, Pipelined, SingleCycle};
+use lightbulb_system::processor::{replay_trace, PipelineConfig, Pipelined, SingleCycle};
 use lightbulb_system::proglogic::trace::Monitor;
 use lightbulb_system::riscv::{Memory, MmioEvent, SpecMachine};
 use obs::json::Value;
@@ -117,6 +119,15 @@ fn booted_spec(words: &[u32], icache: bool) -> SpecMachine<Board> {
     m
 }
 
+fn booted_pipelined(bytes: &[u8]) -> Pipelined<Board> {
+    Pipelined::new(
+        bytes,
+        RAM,
+        Board::new(SpiConfig::default()),
+        PipelineConfig::default(),
+    )
+}
+
 /// The quick-pass traces of every seed in [`MATCH_SEEDS`], pipelined
 /// then spec machine, as the fault sweep records them.
 fn sweep_traces() -> Vec<[Vec<MmioEvent>; 2]> {
@@ -152,6 +163,9 @@ fn main() {
 
     let spec = good_hl_trace(FaultSweepConfig::default().system.driver);
     let traces = sweep_traces();
+    let mut recorded = booted_pipelined(&bytes);
+    recorded.run(STEPS);
+    let (events, halted) = (recorded.mem.events(), recorded.halted);
 
     // Decode-cache hit/miss counts are deterministic, so any timed run's do.
     let (mut hits, mut misses) = (0, 0);
@@ -175,14 +189,14 @@ fn main() {
             sc.retired
         }),
         ("pipelined hardware model", &mut || {
-            let mut pipe = Pipelined::new(
-                &bytes,
-                RAM,
-                Board::new(SpiConfig::default()),
-                PipelineConfig::default(),
-            );
+            let mut pipe = booted_pipelined(&bytes);
             pipe.run(STEPS);
             pipe.retired
+        }),
+        ("single-cycle replay", &mut || {
+            replay_trace(&bytes, RAM, &events, Board::claims, halted, STEPS)
+                .expect("the pipelined trace replays")
+                .retired
         }),
         ("trace monitor (cold per seed)", &mut || {
             let mut events = 0;

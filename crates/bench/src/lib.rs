@@ -299,12 +299,43 @@ pub fn counters_json(c: &obs::Counters) -> Value {
 }
 
 /// Wraps `data` in the `BENCH_*.json` record envelope (schema tag, bench
-/// name) without printing or writing anything.
+/// name, host metadata) without printing or writing anything. Readers
+/// take only `data`, so a record with or without `host` reads the same.
 pub fn json_record(bin: &str, data: Value) -> Value {
     Value::obj()
         .field("schema", Value::Str("bench-report/v1".into()))
         .field("bench", Value::Str(bin.into()))
+        .field("host", host())
         .field("data", data)
+}
+
+/// Where a record was made: the hardware threads available, the build
+/// profile, and the checked-out git revision. What cannot be found out
+/// (the git revision outside a git checkout or without git) reads
+/// `"unknown"`.
+fn host() -> Value {
+    let cpus = std::thread::available_parallelism().map_or_else(
+        |_| Value::Str("unknown".into()),
+        |n| Value::UInt(n.get() as u64),
+    );
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let git_rev = std::process::Command::new("git")
+        .arg("-C")
+        .arg(workspace_root())
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or("unknown".to_string(), |rev| rev.trim().to_string());
+    Value::obj()
+        .field("cpus", cpus)
+        .field("profile", Value::Str(profile.into()))
+        .field("git_rev", Value::Str(git_rev))
 }
 
 /// Emits one bench record: prints it to stdout as a single JSON document.
@@ -604,11 +635,22 @@ mod tests {
     #[test]
     fn json_records_round_trip() {
         let data = table_json(&["name", "value"], &[vec!["stalls".into(), "17".into()]]);
-        let text = json_record("demo", data).render();
+        let text = json_record("demo", data.clone()).render();
         let doc = obs::json::parse(&text).unwrap();
         assert_eq!(doc.get("bench").unwrap().as_str(), Some("demo"));
+        assert_eq!(doc.get("data").unwrap().render(), data.render());
         let rows = doc.get("data").unwrap().as_arr().unwrap();
         assert_eq!(rows[0].get("value").unwrap().as_str(), Some("17"));
+
+        let host = doc.get("host").expect("the envelope carries host metadata");
+        assert!(matches!(host.get("cpus"), Some(Value::UInt(n)) if *n >= 1));
+        let profile = host.get("profile").unwrap().as_str().unwrap();
+        assert_eq!(profile == "debug", cfg!(debug_assertions), "{profile}");
+        let rev = host.get("git_rev").unwrap().as_str().unwrap();
+        assert!(
+            rev == "unknown" || (rev.len() == 40 && rev.chars().all(|c| c.is_ascii_hexdigit())),
+            "git_rev {rev:?}"
+        );
     }
 
     #[test]

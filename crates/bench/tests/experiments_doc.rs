@@ -59,14 +59,40 @@ fn numbers(cell: &str) -> Vec<&str> {
         .collect()
 }
 
+/// The `data` section of a `bench-report/v1` record. The envelope's other
+/// fields (`host` among them, which older records lack) are not read.
+fn record_data(json: &str) -> Value {
+    let record = parse(json).expect("JSON record");
+    assert_eq!(text(&record, "schema"), "bench-report/v1");
+    record.get("data").expect("data").clone()
+}
+
 /// EXPERIMENTS.md and the `data` section of `BENCH_<bin>.json`.
 fn doc_and_record(bin: &str) -> (String, Value) {
     let root = workspace_root();
     let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
     let path = format!("BENCH_{bin}.json");
-    let record = parse(&fs::read_to_string(root.join(&path)).expect(&path)).expect("JSON record");
-    let data = record.get("data").expect("data").clone();
+    let data = record_data(&fs::read_to_string(root.join(&path)).expect(&path));
     (doc, data)
+}
+
+#[test]
+fn records_read_alike_with_and_without_host() {
+    let data = Value::obj().field("seeds", Value::UInt(8));
+    let with_host = bench::json_record("demo", data.clone());
+    let Value::Obj(fields) = &with_host else {
+        panic!("a record is an object");
+    };
+    assert!(with_host.get("host").is_some());
+    let without_host = Value::Obj(
+        fields
+            .iter()
+            .filter(|(k, _)| k != "host")
+            .cloned()
+            .collect(),
+    );
+    assert_eq!(record_data(&with_host.render()), data);
+    assert_eq!(record_data(&without_host.render()), data);
 }
 
 #[test]
@@ -480,5 +506,39 @@ fn btb_ablation_record_matches_live_run() {
         live,
         "BENCH_fig_perf.json is stale: re-record it with \
          `cargo run --release -p bench --bin fig_perf -- --json > BENCH_fig_perf.json`"
+    );
+}
+
+/// True for the compiler's per-pass wall-clock timings, the only
+/// counters of a run that differ between runs.
+fn is_wall_clock(counter: &str) -> bool {
+    counter.starts_with("compiler.pass.") && counter.ends_with("_micros")
+}
+
+#[test]
+fn table1_record_matches_live_run() {
+    let (_, data) = doc_and_record("table1");
+    let Some(Value::Obj(recorded)) = data.get("counters") else {
+        panic!("BENCH_table1.json has no counters");
+    };
+    let run = lightbulb_system::integration::SystemConfig::default().run(&[], 250_000);
+    let live: Vec<(&str, u64)> = run
+        .report
+        .counters
+        .iter()
+        .filter(|(name, _)| !is_wall_clock(name))
+        .collect();
+    let recorded: Vec<(&str, u64)> = recorded
+        .iter()
+        .filter(|(name, _)| !is_wall_clock(name))
+        .map(|(name, value)| match value {
+            Value::UInt(n) => (name.as_str(), *n),
+            other => panic!("counter {name}: {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        recorded, live,
+        "BENCH_table1.json is stale: re-record it with \
+         `cargo run --release -p bench --bin table1 -- --json > BENCH_table1.json`"
     );
 }

@@ -104,6 +104,7 @@ impl Board {
     }
 
     /// True when `addr` is inside one of the board's windows.
+    #[inline]
     pub fn claims(addr: u32) -> bool {
         Board::mmio_ranges()
             .iter()
@@ -112,6 +113,7 @@ impl Board {
 }
 
 impl MmioHandler for Board {
+    #[inline]
     fn is_mmio(&self, addr: u32, _size: AccessSize) -> bool {
         Board::claims(addr)
     }

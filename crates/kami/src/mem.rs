@@ -39,6 +39,7 @@ impl BeMemory {
         (self.words.len() * 4) as u32
     }
 
+    #[inline]
     fn index(&self, addr: u32) -> usize {
         // Word address, wrapping modulo the memory size: high address bits
         // are simply ignored, as in the Kami model (§5.8).
@@ -46,6 +47,7 @@ impl BeMemory {
     }
 
     /// Reads the word containing byte address `addr` (low 2 bits ignored).
+    #[inline]
     pub fn read(&self, addr: u32) -> u32 {
         self.words[self.index(addr)]
     }
@@ -56,6 +58,7 @@ impl BeMemory {
     /// # Panics
     ///
     /// Panics if `byte_enable` has bits above the low 4 set.
+    #[inline]
     pub fn write(&mut self, addr: u32, value: u32, byte_enable: u8) {
         assert!(byte_enable <= 0xF, "byte enable is a 4-bit mask");
         let i = self.index(addr);

@@ -24,6 +24,7 @@ impl RegFile {
     /// # Panics
     ///
     /// Panics if `r >= 32`.
+    #[inline]
     pub fn read(&self, r: u8) -> u32 {
         assert!(r < 32);
         if r == 0 {
@@ -38,6 +39,7 @@ impl RegFile {
     /// # Panics
     ///
     /// Panics if `r >= 32`.
+    #[inline]
     pub fn write(&mut self, r: u8, v: u32) {
         assert!(r < 32);
         if r != 0 {
@@ -68,11 +70,13 @@ impl Scoreboard {
 
     /// True when `r` has an in-flight writer. `x0` is never busy (it has
     /// no real writers).
+    #[inline]
     pub fn is_busy(&self, r: u8) -> bool {
         r != 0 && self.busy[r as usize]
     }
 
     /// Marks `r` busy at dispatch; marking `x0` is a no-op.
+    #[inline]
     pub fn set_busy(&mut self, r: u8) {
         if r != 0 {
             self.busy[r as usize] = true;
@@ -80,6 +84,7 @@ impl Scoreboard {
     }
 
     /// Clears `r` at write-back.
+    #[inline]
     pub fn clear(&mut self, r: u8) {
         self.busy[r as usize] = false;
     }

@@ -53,11 +53,13 @@ impl Reg {
     }
 
     /// The register's index, 0–31.
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
 
     /// True for `x0`.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -257,6 +259,7 @@ impl Instruction {
 
     /// True when this instruction can transfer control somewhere other than
     /// the next sequential instruction.
+    #[inline]
     pub fn is_control_flow(&self) -> bool {
         use Instruction::*;
         matches!(
@@ -274,6 +277,7 @@ impl Instruction {
 
     /// The destination register this instruction writes, if any (writes to
     /// `x0` are still reported; they have no architectural effect).
+    #[inline]
     pub fn dest(&self) -> Option<Reg> {
         use Instruction::*;
         match *self {
@@ -313,6 +317,7 @@ impl Instruction {
     }
 
     /// The source registers this instruction reads (up to two).
+    #[inline]
     pub fn sources(&self) -> Sources {
         use Instruction::*;
         match *self {
@@ -379,6 +384,7 @@ impl Sources {
         len: 0,
     };
 
+    #[inline]
     fn one(rs1: Reg) -> Sources {
         Sources {
             regs: [rs1, Reg::X0],
@@ -386,6 +392,7 @@ impl Sources {
         }
     }
 
+    #[inline]
     fn two(rs1: Reg, rs2: Reg) -> Sources {
         Sources {
             regs: [rs1, rs2],
@@ -397,6 +404,7 @@ impl Sources {
 impl std::ops::Deref for Sources {
     type Target = [Reg];
 
+    #[inline]
     fn deref(&self) -> &[Reg] {
         &self.regs[..usize::from(self.len)]
     }

@@ -19,6 +19,7 @@
 /// assert_eq!(sign_extend(0xFFF, 12), 0xFFFF_FFFF);
 /// assert_eq!(sign_extend(0x7FF, 12), 0x7FF);
 /// ```
+#[inline]
 pub fn sign_extend(value: u32, bits: u32) -> u32 {
     assert!((1..=32).contains(&bits), "bit width out of range: {bits}");
     if bits == 32 {
@@ -29,52 +30,62 @@ pub fn sign_extend(value: u32, bits: u32) -> u32 {
 }
 
 /// Sign-extend a byte loaded from memory (`lb`).
+#[inline]
 pub fn sext8(v: u32) -> u32 {
     v as u8 as i8 as i32 as u32
 }
 
 /// Sign-extend a halfword loaded from memory (`lh`).
+#[inline]
 pub fn sext16(v: u32) -> u32 {
     v as u16 as i16 as i32 as u32
 }
 
 /// Signed less-than, as used by `slt`, `slti`, `blt`, and `bge`.
+#[inline]
 pub fn lts(a: u32, b: u32) -> bool {
     (a as i32) < (b as i32)
 }
 
 /// Unsigned less-than, as used by `sltu`, `sltiu`, `bltu`, and `bgeu`.
+#[inline]
 pub fn ltu(a: u32, b: u32) -> bool {
     a < b
 }
 
 /// Arithmetic (sign-propagating) right shift; only the low 5 bits of the
 /// shift amount are used, as RISC-V specifies.
+#[inline]
 pub fn sra(a: u32, shamt: u32) -> u32 {
     ((a as i32) >> (shamt & 31)) as u32
 }
 
 /// Logical right shift; only the low 5 bits of the shift amount are used.
+#[inline]
 pub fn srl(a: u32, shamt: u32) -> u32 {
     a >> (shamt & 31)
 }
 
 /// Left shift; only the low 5 bits of the shift amount are used.
+#[inline]
 pub fn sll(a: u32, shamt: u32) -> u32 {
     a << (shamt & 31)
 }
 
 /// Upper 32 bits of the signed×signed 64-bit product (`mulh`).
+#[inline]
 pub fn mulh(a: u32, b: u32) -> u32 {
     (((a as i32 as i64) * (b as i32 as i64)) >> 32) as u32
 }
 
 /// Upper 32 bits of the signed×unsigned 64-bit product (`mulhsu`).
+#[inline]
 pub fn mulhsu(a: u32, b: u32) -> u32 {
     (((a as i32 as i64) * (b as u64 as i64)) >> 32) as u32
 }
 
 /// Upper 32 bits of the unsigned×unsigned 64-bit product (`mulhu`).
+#[inline]
 pub fn mulhu(a: u32, b: u32) -> u32 {
     (((a as u64) * (b as u64)) >> 32) as u32
 }
@@ -85,6 +96,7 @@ pub fn mulhu(a: u32, b: u32) -> u32 {
 /// Note that Bedrock2's source semantics leave division by zero
 /// *unspecified* while its compiler assumes the RISC-V result (footnote 3 of
 /// the paper); this function is that concrete RISC-V result.
+#[inline]
 pub fn div(a: u32, b: u32) -> u32 {
     let (a, b) = (a as i32, b as i32);
     if b == 0 {
@@ -97,12 +109,14 @@ pub fn div(a: u32, b: u32) -> u32 {
 }
 
 /// Unsigned division; division by zero yields all-ones.
+#[inline]
 pub fn divu(a: u32, b: u32) -> u32 {
     a.checked_div(b).unwrap_or(u32::MAX)
 }
 
 /// Signed remainder with the RISC-V conventions: remainder by zero yields
 /// the dividend, and `i32::MIN rem -1` yields 0.
+#[inline]
 pub fn rem(a: u32, b: u32) -> u32 {
     let (a, b) = (a as i32, b as i32);
     if b == 0 {
@@ -115,11 +129,13 @@ pub fn rem(a: u32, b: u32) -> u32 {
 }
 
 /// Unsigned remainder; remainder by zero yields the dividend.
+#[inline]
 pub fn remu(a: u32, b: u32) -> u32 {
     a.checked_rem(b).unwrap_or(a)
 }
 
 /// True when `addr` is a multiple of `align` (which must be a power of two).
+#[inline]
 pub fn is_aligned(addr: u32, align: u32) -> bool {
     debug_assert!(align.is_power_of_two());
     addr & (align - 1) == 0

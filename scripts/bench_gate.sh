@@ -8,9 +8,9 @@
 #     uncached spec core, a machine-independent ratio) must not fall more
 #     than the tolerance below the baseline's.
 #   * BENCH_spec_throughput.json — the single-cycle and pipelined
-#     hardware models' throughput, each divided by the cached spec
-#     machine's (machine-independent ratios), must not fall more than the
-#     tolerance below the baseline's.
+#     hardware models' throughput and the single-cycle replay's, each
+#     divided by the cached spec machine's (machine-independent ratios),
+#     must not fall more than the tolerance below the baseline's.
 #   * BENCH_spec_throughput.json — the trace monitor's events matched per
 #     second (cold monitor per fault-sweep seed), divided by the cached
 #     spec machine's steps per second, must not fall more than the
@@ -83,13 +83,15 @@ elif base is not None:
         print(f"bench_gate: spec_throughput ok — decode-cache speedup "
               f"{fresh_ratio:.2f}x (baseline {base_ratio:.2f}x)")
 
-# --- spec_throughput: the hardware models' speed relative to the cached
-# spec machine, so a slower host moves numerator and denominator together.
+# --- spec_throughput: the hardware models' and the replay's speed relative
+# to the cached spec machine, so a slower host moves numerator and
+# denominator together.
 def hw_ratios(doc):
     cores = {c["config"]: c["steps_per_sec"] for c in doc["data"]["cores"]}
     spec = next(v for k, v in cores.items() if "cached" in k and "uncached" not in k)
     return {model: cores[model] / spec
-            for model in ("single-cycle hardware model", "pipelined hardware model")}
+            for model in ("single-cycle hardware model", "pipelined hardware model",
+                          "single-cycle replay")}
 
 
 if fresh is not None and base is not None:
