@@ -12,10 +12,11 @@
 //! range swept twice (and with different shard counts) must publish
 //! byte-identical counter reports.
 //!
-//! Per-seed panics are caught and reported, and transient budget
-//! exhaustion retries with escalating budgets. Failing seeds are triaged
-//! automatically — delta-debugged to a 1-minimal fault plan with a named
-//! divergence site, written as `TRIAGE_fault_sweep_seed<N>.json`.
+//! Per-seed panics are caught and reported. Each seed is checked once, at
+//! the sweep's config, so `--replay-plan` on a triage artifact reruns the
+//! check the seed failed. Failing seeds are triaged automatically —
+//! delta-debugged to a 1-minimal fault plan with a named divergence site,
+//! written as `TRIAGE_fault_sweep_seed<N>.json`.
 //!
 //! Flags (`--help` lists them; an unknown flag, a missing value or a
 //! number that does not parse exits 2 before any work):
@@ -223,7 +224,6 @@ fn main() -> ExitCode {
 
     let opts = FaultSweepOptions {
         triage_dir: Some(triage_dir),
-        ..FaultSweepOptions::default()
     };
 
     let t0 = Instant::now();
@@ -251,8 +251,6 @@ fn main() -> ExitCode {
     let injected = report.counters.get("devices.faults.injected");
     let retries = report.counters.get("driver.retries");
     let reinits = report.counters.get("driver.reinit");
-    let retried = report.counters.get("core.diff.retried_seeds");
-    let recovered = report.counters.get("core.diff.recovered_seeds");
 
     if args.has("--json") {
         let data = Value::obj()
@@ -265,8 +263,6 @@ fn main() -> ExitCode {
             .field("conclusive", Value::UInt(report.conclusive))
             .field("failures", Value::UInt(report.failures.len() as u64))
             .field("panicked", Value::UInt(report.panicked.len() as u64))
-            .field("retried_seeds", Value::UInt(retried))
-            .field("recovered_seeds", Value::UInt(recovered))
             .field("seconds", Value::Float(secs))
             .field("seeds_per_sec", Value::Float(seeds as f64 / secs))
             .field("frames_per_run", Value::UInt(cfg.frames as u64))
@@ -290,10 +286,6 @@ fn main() -> ExitCode {
         vec!["conclusive".to_string(), report.conclusive.to_string()],
         vec!["failures".to_string(), report.failures.len().to_string()],
         vec!["panicked".to_string(), report.panicked.len().to_string()],
-        vec![
-            "retried / recovered".to_string(),
-            format!("{retried} / {recovered}"),
-        ],
         vec!["shards".to_string(), report.shards.to_string()],
         vec!["wall clock".to_string(), format!("{secs:.2} s")],
         vec![

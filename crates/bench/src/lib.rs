@@ -310,9 +310,10 @@ pub fn json_record(bin: &str, data: Value) -> Value {
 }
 
 /// Where a record was made: the hardware threads available, the build
-/// profile, and the checked-out git revision. What cannot be found out
-/// (the git revision outside a git checkout or without git) reads
-/// `"unknown"`.
+/// profile, the checked-out git revision, and whether the tree had
+/// uncommitted changes (`git status --porcelain` printed anything). What
+/// cannot be found out (the git fields outside a git checkout or without
+/// git) reads `"unknown"`.
 fn host() -> Value {
     let cpus = std::thread::available_parallelism().map_or_else(
         |_| Value::Str("unknown".into()),
@@ -323,19 +324,29 @@ fn host() -> Value {
     } else {
         "release"
     };
-    let git_rev = std::process::Command::new("git")
+    let unknown = || Value::Str("unknown".into());
+    let git_rev =
+        git(&["rev-parse", "HEAD"]).map_or_else(unknown, |rev| Value::Str(rev.trim().into()));
+    let dirty =
+        git(&["status", "--porcelain"]).map_or_else(unknown, |out| Value::Bool(!out.is_empty()));
+    Value::obj()
+        .field("cpus", cpus)
+        .field("profile", Value::Str(profile.into()))
+        .field("git_rev", git_rev)
+        .field("dirty", dirty)
+}
+
+/// The stdout of `git` run with `args` in the workspace root, or `None`
+/// when git is absent or fails.
+fn git(args: &[&str]) -> Option<String> {
+    std::process::Command::new("git")
         .arg("-C")
         .arg(workspace_root())
-        .args(["rev-parse", "HEAD"])
+        .args(args)
         .output()
         .ok()
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or("unknown".to_string(), |rev| rev.trim().to_string());
-    Value::obj()
-        .field("cpus", cpus)
-        .field("profile", Value::Str(profile.into()))
-        .field("git_rev", Value::Str(git_rev))
 }
 
 /// Emits one bench record: prints it to stdout as a single JSON document.
@@ -651,6 +662,12 @@ mod tests {
             rev == "unknown" || (rev.len() == 40 && rev.chars().all(|c| c.is_ascii_hexdigit())),
             "git_rev {rev:?}"
         );
+        // A revision was read, so git ran and the tree's state is known.
+        match host.get("dirty") {
+            Some(Value::Bool(_)) => {}
+            Some(Value::Str(s)) if s == "unknown" && rev == "unknown" => {}
+            other => panic!("dirty {other:?} with git_rev {rev:?}"),
+        }
     }
 
     #[test]

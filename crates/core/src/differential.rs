@@ -73,8 +73,7 @@ pub enum DiffError {
         model: &'static str,
     },
     /// The run stayed inside the spec but the workload did not complete
-    /// within the cycle budget. Transient under a bigger budget; a
-    /// liveness failure once retries exhaust the escalation schedule.
+    /// within the cycle budget: a liveness failure at that budget.
     /// Produced only when [`FaultSweepConfig::require_done`] is set.
     WorkloadIncomplete {
         /// Frames the board delivered before the budget ran out.
@@ -82,19 +81,6 @@ pub enum DiffError {
         /// Frames the plan lets through (injected minus dropped).
         expected: u64,
     },
-}
-
-impl DiffError {
-    /// True for failures a bigger budget might clear (fuel/cycle
-    /// exhaustion): the sweep engine retries these with escalating budgets
-    /// before classifying the seed as failed. Everything else is a hard
-    /// disagreement and retrying would only reproduce it.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            DiffError::MachineTimeout | DiffError::WorkloadIncomplete { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for DiffError {
@@ -325,46 +311,6 @@ pub fn check_isa_consistency(prog: &Program, optimize: bool) -> Result<(), DiffE
     Ok(())
 }
 
-/// The classified result of one seed, after panic isolation and retries.
-/// The engine folds these into the [`SweepReport`] aggregates.
-enum SeedOutcome {
-    /// The check passed (possibly after retries).
-    Passed,
-    /// Discarded as [`DiffError::SourceUb`] (outside every theorem).
-    Inconclusive,
-    /// A genuine disagreement (transient errors already retried).
-    Failed(DiffError),
-    /// The check panicked, with the panic payload (message); the rest of
-    /// the sweep continues.
-    Panicked(String),
-}
-
-/// How the sweep engine retries transiently-failing seeds
-/// ([`DiffError::is_transient`]): up to `attempts` tries per seed, the
-/// attempt index passed to the check so it can escalate its budget. Retries
-/// follow at once: the checks are deterministic, so waiting cannot change
-/// what a retry returns.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per seed (≥ 1; 1 means no retry).
-    pub attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    /// No retries: every error classifies immediately.
-    fn default() -> RetryPolicy {
-        RetryPolicy { attempts: 1 }
-    }
-}
-
-impl RetryPolicy {
-    /// The fault-sweep default: three attempts (quick, escalated,
-    /// escalated-again budgets).
-    pub fn escalating() -> RetryPolicy {
-        RetryPolicy { attempts: 3 }
-    }
-}
-
 /// The outcome of a sharded seed sweep ([`parallel_sweep`],
 /// [`resilient_sweep`]).
 #[derive(Clone, Debug, Default)]
@@ -390,8 +336,8 @@ pub struct SweepReport {
     pub start: u64,
     /// Seeds per shard (the last shard may run fewer).
     pub chunk: u64,
-    /// Shrunken counterexamples for failing seeds (filled by
-    /// [`fault_sweep_with`] when triage is enabled).
+    /// Shrunken counterexamples for the first few failing seeds (filled
+    /// by [`fault_sweep_with`]).
     pub triage: Vec<crate::triage::TriageSummary>,
 }
 
@@ -545,10 +491,7 @@ where
     G: Fn(u64) -> Program + Sync,
     C: Fn(&Program) -> Result<(), DiffError> + Sync,
 {
-    // No retries, as befits a smoke-test sweep.
-    resilient_sweep(seeds, shards, RetryPolicy::default(), |seed, _, _| {
-        check(&generate(seed))
-    })
+    resilient_sweep(seeds, shards, |seed, _| check(&generate(seed)))
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -562,66 +505,19 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one seed to a classified [`SeedOutcome`]: the check is guarded by
-/// `catch_unwind` (a panicking seed is an outcome, not a poisoned sweep),
-/// and transient failures are retried up to the policy's attempt budget
-/// with the attempt index passed through so the check can escalate fuel.
-fn run_seed<C>(seed: u64, retry: RetryPolicy, counters: &mut Counters, check: &C) -> SeedOutcome
-where
-    C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
-{
-    let attempts = retry.attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        // The closure touches the shard's counters across the unwind
-        // boundary; a panicking seed may leave partial telemetry behind,
-        // which stays deterministic because the same partial work happens
-        // at every shard count.
-        let result = catch_unwind(AssertUnwindSafe(|| check(seed, attempt, &mut *counters)));
-        match result {
-            Err(payload) => {
-                // Panics are deterministic here (no I/O, no wall-clock in
-                // the checks), so retrying would only panic again.
-                return SeedOutcome::Panicked(panic_payload(payload));
-            }
-            Ok(Ok(())) => {
-                if attempt > 0 {
-                    counters.add("core.diff.recovered_seeds", 1);
-                }
-                return SeedOutcome::Passed;
-            }
-            Ok(Err(DiffError::SourceUb(_))) => return SeedOutcome::Inconclusive,
-            Ok(Err(e)) if e.is_transient() && attempt + 1 < attempts => {
-                if attempt == 0 {
-                    counters.add("core.diff.retried_seeds", 1);
-                }
-                counters.add("core.diff.retry_attempts", 1);
-                attempt += 1;
-            }
-            Ok(Err(error)) => return SeedOutcome::Failed(error),
-        }
-    }
-}
-
-/// The sharding engine behind every sweep: runs `check` once per seed
-/// (attempt index second), split into contiguous chunks of equal size
-/// (the last may be short) across OS threads, so fewer shards than
-/// requested can end up used. Per seed, panics are caught and recorded
-/// ([`SweepReport::panicked`]) and transient failures are retried under
-/// `retry`. Each shard builds a partial report over its chunk, and the
-/// partial reports are merged in shard (= ascending seed) order.
+/// The sharding engine behind every sweep: runs `check` once per seed,
+/// split into contiguous chunks of equal size (the last may be short)
+/// across OS threads, so fewer shards than requested can end up used. Per
+/// seed, panics are caught and recorded ([`SweepReport::panicked`]). Each
+/// shard builds a partial report over its chunk, and the partial reports
+/// are merged in shard (= ascending seed) order.
 ///
 /// `check` may record per-seed telemetry into the shard's [`Counters`];
 /// summed counters merge order-insensitively, so reports stay identical
 /// across shard counts.
-pub fn resilient_sweep<C>(
-    seeds: Range<u64>,
-    shards: usize,
-    retry: RetryPolicy,
-    check: C,
-) -> SweepReport
+pub fn resilient_sweep<C>(seeds: Range<u64>, shards: usize, check: C) -> SweepReport
 where
-    C: Fn(u64, u32, &mut Counters) -> Result<(), DiffError> + Sync,
+    C: Fn(u64, &mut Counters) -> Result<(), DiffError> + Sync,
 {
     let start = seeds.start;
     let all: Vec<u64> = seeds.collect();
@@ -630,13 +526,19 @@ where
     let run_shard = |seeds: &[u64]| -> SweepReport {
         let mut part = SweepReport::default();
         for &seed in seeds {
-            match run_seed(seed, retry, &mut part.counters, &check) {
-                SeedOutcome::Passed => part.conclusive += 1,
-                SeedOutcome::Inconclusive => part.inconclusive += 1,
-                SeedOutcome::Failed(error) => part.failures.push((seed, error)),
-                SeedOutcome::Panicked(payload) => {
+            // A panicking seed is an outcome, not a poisoned sweep. The
+            // check touches the shard's counters across the unwind
+            // boundary, so it may leave partial telemetry behind, which
+            // stays deterministic because the same partial work happens
+            // at every shard count.
+            let counters = &mut part.counters;
+            match catch_unwind(AssertUnwindSafe(|| check(seed, counters))) {
+                Ok(Ok(())) => part.conclusive += 1,
+                Ok(Err(DiffError::SourceUb(_))) => part.inconclusive += 1,
+                Ok(Err(error)) => part.failures.push((seed, error)),
+                Err(payload) => {
                     part.counters.add("core.diff.panicked", 1);
-                    part.panicked.push((seed, payload));
+                    part.panicked.push((seed, panic_payload(payload)));
                 }
             }
         }
@@ -1100,38 +1002,16 @@ fn replay_into_spec_core(
     }
 }
 
-/// Knobs for [`fault_sweep_with`] beyond the sweep itself.
-#[derive(Clone, Debug)]
+/// Failing seeds [`fault_sweep_with`] shrinks after the sweep: the first
+/// few, since each triage pass reruns its seed's check many times.
+const TRIAGED_FAILURES: usize = 3;
+
+/// Where [`fault_sweep_with`] puts what it writes.
+#[derive(Clone, Debug, Default)]
 pub struct FaultSweepOptions {
-    /// Retry schedule for transient failures.
-    pub retry: RetryPolicy,
-    /// Shrink up to this many failing seeds into
-    /// [`crate::triage::TriageReport`]s after the sweep (0 disables).
-    pub triage: usize,
     /// Directory where full `TRIAGE_fault_sweep_seed<N>.json` artifacts
-    /// are written (`None`: summaries only, no files).
+    /// are written (`None`, the default: summaries only, no files).
     pub triage_dir: Option<std::path::PathBuf>,
-}
-
-impl Default for FaultSweepOptions {
-    /// Escalating retries, triage of the first three failures, no
-    /// artifact files.
-    fn default() -> FaultSweepOptions {
-        FaultSweepOptions {
-            retry: RetryPolicy::escalating(),
-            triage: 3,
-            triage_dir: None,
-        }
-    }
-}
-
-/// The per-attempt budget escalation: each retry of a transiently-failing
-/// seed doubles the full budget, capped at two doublings — bounded, like
-/// the backoff schedule, so a genuinely dead seed classifies quickly.
-fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig {
-    let mut out = cfg.clone();
-    out.max_cycles = cfg.max_cycles << attempt.min(2);
-    out
 }
 
 /// Sweeps seeded fault plans through [`fault_check`], sharded like
@@ -1139,18 +1019,20 @@ fn escalate_budget(cfg: &FaultSweepConfig, attempt: u32) -> FaultSweepConfig {
 /// built once and shared across shards; each seed's check builds its own
 /// [`Monitor`] state table. The report's counters carry the sweep's
 /// aggregate fault/recovery telemetry. This is [`fault_sweep_with`] under
-/// default options: escalating retries and automatic triage of the first
-/// few failures.
+/// default options: automatic triage of the first few failures, no
+/// artifact files.
 pub fn fault_sweep(seeds: Range<u64>, shards: usize, cfg: &FaultSweepConfig) -> SweepReport {
     fault_sweep_with(seeds, shards, cfg, &FaultSweepOptions::default())
 }
 
-/// [`fault_sweep`] with explicit [`FaultSweepOptions`]: panic-isolated,
-/// retrying and self-triaging. After the sweep, each failing seed (up to
-/// `opts.triage`) is shrunk to a locally-minimal fault plan with a named
-/// divergence site; summaries land in
-/// [`SweepReport::triage`] (and in [`SweepReport::expect_clean`]'s panic
-/// message), full reports in `opts.triage_dir` when set.
+/// [`fault_sweep`] with explicit [`FaultSweepOptions`]: panic-isolated and
+/// self-triaging. Each seed is checked once, at `cfg`, so a seed fails the
+/// sweep exactly when [`fault_check`] at `cfg` fails it. After the sweep,
+/// each of the first three failing seeds is shrunk under `cfg`, the config
+/// it failed at, to a locally-minimal fault plan with a named divergence
+/// site; summaries land in [`SweepReport::triage`] (and in
+/// [`SweepReport::expect_clean`]'s panic message), full reports in
+/// `opts.triage_dir` when set.
 pub fn fault_sweep_with(
     seeds: Range<u64>,
     shards: usize,
@@ -1159,22 +1041,12 @@ pub fn fault_sweep_with(
 ) -> SweepReport {
     let image = build_image(&cfg.system);
     let spec = good_hl_trace(cfg.system.driver);
-    let mut report = resilient_sweep(seeds, shards, opts.retry, |seed, attempt, counters| {
-        fault_check_against(
-            &FaultPlan::from_seed(seed),
-            &escalate_budget(cfg, attempt),
-            &image,
-            &spec,
-            counters,
-        )
-        .0
+    let mut report = resilient_sweep(seeds, shards, |seed, counters| {
+        fault_check_against(&FaultPlan::from_seed(seed), cfg, &image, &spec, counters).0
     });
 
-    // Failing seeds were classified at full escalation; triage probes the
-    // same (deterministic) configuration the failure was confirmed at.
-    let final_cfg = escalate_budget(cfg, opts.retry.attempts.saturating_sub(1));
-    for (seed, _) in report.failures.iter().take(opts.triage) {
-        let Some(tr) = crate::triage::triage_seed(*seed, &final_cfg, &image) else {
+    for (seed, _) in report.failures.iter().take(TRIAGED_FAILURES) {
+        let Some(tr) = crate::triage::triage_plan(&FaultPlan::from_seed(*seed), cfg, &image) else {
             continue;
         };
         let artifact = opts.triage_dir.as_ref().and_then(|dir| {

@@ -23,7 +23,7 @@
 //!   ISA spec machine), ISA consistency (spec machine vs single-cycle
 //!   core, §5.8), and processor refinement (pipelined vs single-cycle,
 //!   §5.7), each swept over random programs (or seeded fault plans) by
-//!   one sharded engine with per-seed panic isolation and retries;
+//!   one sharded engine with per-seed panic isolation;
 //! * [`triage`] — delta-debugging minimization of failing fault plans
 //!   plus divergence-site location, turning a red sweep seed into a
 //!   1-minimal counterexample automatically;
@@ -43,10 +43,9 @@ pub mod triage;
 
 pub use differential::{
     check_compiler_differential, check_isa_consistency, fault_check, fault_check_plan, fault_sweep,
-    fault_sweep_with, resilient_sweep, DiffError, FaultSweepConfig, FaultSweepOptions, RetryPolicy,
-    SweepReport,
+    fault_sweep_with, resilient_sweep, DiffError, FaultSweepConfig, FaultSweepOptions, SweepReport,
 };
 pub use end_to_end::{end_to_end_lightbulb, EndToEndError, IntegrationReport};
 pub use liveness::{check_event_loop_liveness, LivenessError, LivenessReport};
 pub use system::{build_image, LightbulbRun, ProcessorKind, RunReport, SystemConfig};
-pub use triage::{shrink_plan, triage_plan, triage_seed, TriageReport, TriageSummary};
+pub use triage::{shrink_plan, triage_plan, TriageReport, TriageSummary};

@@ -14,14 +14,14 @@
 //!   single remaining atom makes the failure disappear). Atoms are
 //!   interaction-count-keyed and independent, so any subset is a valid
 //!   plan ([`devices::FaultPlan::from_atoms`]).
-//! * [`triage_seed`] / [`triage_plan`] — run the minimizer on a failing
-//!   seed, then name the divergence site under the minimal plan: the
-//!   first MMIO event index where the models (or the trace and its spec)
-//!   part ways, with a trace-suffix window from each model around that
-//!   index. Each failing probe names its site on the runs its check has
-//!   just made, continued only as far as the window needs; ddmin's last
-//!   failing probe is the minimal plan's, so no model reruns from reset at
-//!   the full budget.
+//! * [`triage_plan`] — run the minimizer on a failing plan (a sweep seed's
+//!   or a hand-built one), then name the divergence site under the minimal
+//!   plan: the first MMIO event index where the models (or the trace and
+//!   its spec) part ways, with a trace-suffix window from each model
+//!   around that index. Each failing probe names its site on the runs its
+//!   check has just made, continued only as far as the window needs;
+//!   ddmin's last failing probe is the minimal plan's, so no model reruns
+//!   from reset at the full budget.
 //!
 //! The output is a [`TriageReport`]: minimal plan, named divergence site,
 //! both suffixes, and a one-line repro command — everything
@@ -213,18 +213,9 @@ where
     Some((FaultPlan::from_atoms(original.seed, &atoms), error, probes))
 }
 
-/// Triages one failing sweep seed: shrink its seeded plan, then locate the
-/// divergence under the minimal plan. Returns `None` when the seed does
-/// not actually fail under `cfg` (e.g. it only failed at a smaller budget).
-pub fn triage_seed(
-    seed: u64,
-    cfg: &FaultSweepConfig,
-    image: &CompiledProgram,
-) -> Option<TriageReport> {
-    triage_plan(&FaultPlan::from_seed(seed), cfg, image)
-}
-
-/// [`triage_seed`] on an explicit plan (hand-built plans included).
+/// Triages one failing fault plan: shrink it, then locate the divergence
+/// under the minimal plan. Returns `None` when the plan does not fail
+/// under `cfg`.
 pub fn triage_plan(
     plan: &FaultPlan,
     cfg: &FaultSweepConfig,

@@ -4,11 +4,12 @@
 
 use lightbulb_system::devices::{FaultPlan, TrafficGen};
 use lightbulb_system::integration::differential::{
-    fault_sweep, resilient_sweep, FaultSweepConfig, RetryPolicy, SweepReport,
+    fault_check, fault_sweep, resilient_sweep, FaultSweepConfig, SweepReport,
 };
 use lightbulb_system::integration::{
     build_image, DiffError, ProcessorKind, SystemConfig, TriageSummary,
 };
+use obs::Counters;
 
 const BUDGET: u64 = 250_000;
 
@@ -140,7 +141,7 @@ fn expect_clean_names_the_failing_seed_and_shard() {
 /// then fails with the panicking seed named.
 #[test]
 fn a_panicking_seed_is_isolated_and_reported() {
-    let report = resilient_sweep(0..20, 4, RetryPolicy::default(), |seed, _, _| {
+    let report = resilient_sweep(0..20, 4, |seed, _| {
         assert!(seed != 13, "planted panic on seed 13");
         Ok(())
     });
@@ -160,45 +161,48 @@ fn a_panicking_seed_is_isolated_and_reported() {
     assert!(msg.contains("seed 13"), "must name the seed: {msg}");
 }
 
-/// Transient failures (here: planted `MachineTimeout`s that clear on the
-/// second attempt) are retried under the policy and end up conclusive,
-/// with the recovery visible in the counters.
+/// A sweep's verdict on a seed is `fault_check`'s at the same config:
+/// each seed is checked once, at `cfg`, so the sweep fails exactly the
+/// seeds (with exactly the errors) that `fault_check` fails, and its
+/// telemetry is the sum of the per-seed checks'. With one budget for both
+/// passes under `require_done`, some seeds finish their workload within
+/// it and some do not, so the comparison has both verdicts to agree on.
 #[test]
-fn transient_failures_are_retried_and_recover() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let first_attempts = AtomicU64::new(0);
-    let report = resilient_sweep(0..10, 2, RetryPolicy { attempts: 3 }, |seed, attempt, _| {
-        if seed % 3 == 0 && attempt == 0 {
-            first_attempts.fetch_add(1, Ordering::Relaxed);
-            return Err(DiffError::MachineTimeout);
-        }
-        Ok(())
-    });
-    report.expect_clean("retried sweep");
-    assert_eq!(report.conclusive, 10);
-    assert_eq!(first_attempts.load(Ordering::Relaxed), 4, "seeds 0,3,6,9");
-    assert_eq!(report.counters.get("core.diff.retried_seeds"), 4);
-    assert_eq!(report.counters.get("core.diff.recovered_seeds"), 4);
-    assert_eq!(report.counters.get("core.diff.retry_attempts"), 4);
-}
+fn a_sweep_is_fault_check_per_seed() {
+    let cfg = FaultSweepConfig {
+        require_done: true,
+        quick_cycles: 100_000,
+        max_cycles: 100_000,
+        ..FaultSweepConfig::default()
+    };
+    let seeds = 0..16;
+    let report = fault_sweep(seeds.clone(), 2, &cfg);
+    assert!(report.panicked.is_empty(), "{:?}", report.panicked);
 
-/// Hard (non-transient) failures must classify on the first attempt: the
-/// retry budget is for budget exhaustion, not for reproducing a real
-/// disagreement three times.
-#[test]
-fn hard_failures_are_not_retried() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let calls = AtomicU64::new(0);
-    let report = resilient_sweep(5..6, 1, RetryPolicy { attempts: 3 }, |_, _, _| {
-        calls.fetch_add(1, Ordering::Relaxed);
-        Err(DiffError::SpecViolation {
-            matched: 1,
-            model: "pipelined",
-        })
-    });
-    assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry on hard failure");
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.counters.get("core.diff.retry_attempts"), 0);
+    let image = build_image(&cfg.system);
+    let mut failing = Vec::new();
+    let mut summed = Counters::new();
+    for seed in seeds {
+        let mut counters = Counters::new();
+        if let Err(e) = fault_check(seed, &cfg, &image, &mut counters) {
+            failing.push((seed, e));
+        }
+        summed.merge(&counters);
+    }
+    assert_eq!(report.failures, failing);
+    assert!(
+        !failing.is_empty() && failing.len() < 16,
+        "the budget must split the seeds into passing and failing ones: {} of 16 fail",
+        failing.len()
+    );
+
+    let telemetry = |c: &Counters| {
+        c.iter()
+            .filter(|(k, _)| !k.starts_with("core.diff."))
+            .collect::<Vec<_>>()
+    };
+    assert!(!telemetry(&summed).is_empty());
+    assert_eq!(telemetry(&report.counters), telemetry(&summed));
 }
 
 /// The triage path end to end on the real stack: a hand-built
