@@ -2,7 +2,8 @@
 //! against the hardened lightbulb stack on both the pipelined processor
 //! and the ISA spec machine, each run checked for spec satisfaction and
 //! replay trace equality. `--json` prints a `bench-report/v1` record on
-//! stdout (the committed one is `BENCH_fault_sweep.json`).
+//! stdout (the committed one is `BENCH_fault_sweep.json`); without it the
+//! bin prints the EXPERIMENTS.md block rendered from that record.
 //!
 //! Every seed derives a deterministic `FaultPlan` (delayed/never-ready
 //! registers, SPI wire garbage, RX stalls, dropped/truncated/corrupted
@@ -34,7 +35,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::{cli, counters_json, emit_json, render_table, workspace_root, Flag, Takes, JSON};
+use bench::{
+    cli, counters_json, emit_json, experiments, render_table, workspace_root, Flag, Takes, JSON,
+};
 use lightbulb_system::devices::FaultPlan;
 use lightbulb_system::integration::differential::{
     default_shards, fault_check_plan, fault_sweep, fault_sweep_with, FaultSweepConfig,
@@ -252,62 +255,35 @@ fn main() -> ExitCode {
     let retries = report.counters.get("driver.retries");
     let reinits = report.counters.get("driver.reinit");
 
-    if args.has("--json") {
-        let data = Value::obj()
-            .field(
-                "workload",
-                Value::Str("seeded fault plans vs hardened drivers".into()),
-            )
-            .field("seeds", Value::UInt(seeds))
-            .field("shards", Value::UInt(report.shards as u64))
-            .field("conclusive", Value::UInt(report.conclusive))
-            .field("failures", Value::UInt(report.failures.len() as u64))
-            .field("panicked", Value::UInt(report.panicked.len() as u64))
-            .field("seconds", Value::Float(secs))
-            .field("seeds_per_sec", Value::Float(seeds as f64 / secs))
-            .field("frames_per_run", Value::UInt(cfg.frames as u64))
-            .field("quick_cycles", Value::UInt(cfg.quick_cycles))
-            .field("max_cycles", Value::UInt(cfg.max_cycles))
-            .field("faults_injected", Value::UInt(injected))
-            .field("driver_retries", Value::UInt(retries))
-            .field("driver_reinits", Value::UInt(reinits))
-            .field("deterministic", Value::Bool(deterministic))
-            .field(
-                "triage",
-                Value::Arr(report.triage.iter().map(|t| t.to_json()).collect()),
-            )
-            .field("counters", counters_json(&report.counters));
-        emit_json("fault_sweep", data);
-        return ExitCode::SUCCESS;
-    }
-
-    let table = vec![
-        vec!["seeds swept".to_string(), report.total.to_string()],
-        vec!["conclusive".to_string(), report.conclusive.to_string()],
-        vec!["failures".to_string(), report.failures.len().to_string()],
-        vec!["panicked".to_string(), report.panicked.len().to_string()],
-        vec!["shards".to_string(), report.shards.to_string()],
-        vec!["wall clock".to_string(), format!("{secs:.2} s")],
-        vec![
-            "throughput".to_string(),
-            format!("{:.2} seeds/s", seeds as f64 / secs),
-        ],
-        vec!["faults injected".to_string(), injected.to_string()],
-        vec!["driver retries".to_string(), retries.to_string()],
-        vec!["driver re-inits".to_string(), reinits.to_string()],
-    ];
-    print!(
-        "{}",
-        render_table(
-            "fault-injection sweep (pipelined + spec machine, per seed)",
-            &["metric", "value"],
-            &table
+    let data = Value::obj()
+        .field(
+            "workload",
+            Value::Str("seeded fault plans vs hardened drivers".into()),
         )
-    );
-    println!();
-    println!(
-        "determinism: shard-count invariance self-check {}",
-        if deterministic { "passed" } else { "FAILED" }
-    );
+        .field("seeds", Value::UInt(seeds))
+        .field("shards", Value::UInt(report.shards as u64))
+        .field("conclusive", Value::UInt(report.conclusive))
+        .field("failures", Value::UInt(report.failures.len() as u64))
+        .field("panicked", Value::UInt(report.panicked.len() as u64))
+        .field("seconds", Value::Float(secs))
+        .field("seeds_per_sec", Value::Float(seeds as f64 / secs))
+        .field("frames_per_run", Value::UInt(cfg.frames as u64))
+        .field("quick_cycles", Value::UInt(cfg.quick_cycles))
+        .field("max_cycles", Value::UInt(cfg.max_cycles))
+        .field("faults_injected", Value::UInt(injected))
+        .field("driver_retries", Value::UInt(retries))
+        .field("driver_reinits", Value::UInt(reinits))
+        .field("deterministic", Value::Bool(deterministic))
+        .field(
+            "triage",
+            Value::Arr(report.triage.iter().map(|t| t.to_json()).collect()),
+        )
+        .field("counters", counters_json(&report.counters));
+    if args.has("--json") {
+        emit_json("fault_sweep", data);
+    } else {
+        experiments::print_blocks("fault_sweep", data);
+        println!("determinism: shard-count invariance self-check passed");
+    }
     ExitCode::SUCCESS
 }

@@ -14,9 +14,11 @@
 //! *shape*: every factor ≥ 1 and a several-fold product.
 //!
 //! It also runs Figure 4's BTB ablation ([`bench::btb_ablation`]) and
-//! panics unless the branch target buffer pays for itself.
+//! panics unless the branch target buffer pays for itself. Without
+//! `--json` it prints the EXPERIMENTS.md blocks rendered from the record
+//! it would emit.
 
-use bench::{btb_ablation, cli, emit_json, packet_to_actuation_latency, render_table, JSON};
+use bench::{btb_ablation, cli, emit_json, experiments, packet_to_actuation_latency, JSON};
 use lightbulb_system::compiler::{compile, MmioExtCompiler};
 use lightbulb_system::devices::SpiConfig;
 use lightbulb_system::integration::{build_image, ProcessorKind, SystemConfig};
@@ -116,138 +118,71 @@ fn main() {
         "compiler optimizations",
         "processor",
     ];
-    let mut rows = Vec::new();
-    let mut product = 1.0;
-    for i in 0..4 {
-        let f = lat[i] as f64 / lat[i + 1] as f64;
-        product *= f;
-        rows.push(vec![
-            names[i].to_string(),
-            format!("{:.2}×", paper[i]),
-            format!("{f:.2}×"),
-            format!("{} → {}", lat[i], lat[i + 1]),
-        ]);
-    }
-    rows.push(vec![
-        "TOTAL".to_string(),
-        "≈10×".to_string(),
-        format!("{product:.2}×"),
-        format!("{} → {}", lat[0], lat[4]),
-    ]);
+    let product: f64 = (0..4).map(|i| lat[i] as f64 / lat[i + 1] as f64).product();
 
-    if json {
-        let factors = Value::Arr(
-            (0..4)
-                .map(|i| {
-                    Value::obj()
-                        .field("factor", Value::Str(names[i].to_string()))
-                        .field("paper", Value::Float(paper[i]))
-                        .field("measured", Value::Float(lat[i] as f64 / lat[i + 1] as f64))
-                        .field("cycles_before", Value::UInt(lat[i]))
-                        .field("cycles_after", Value::UInt(lat[i + 1]))
-                })
-                .collect(),
-        );
-        let grid = Value::Arr(
-            configs
-                .iter()
-                .zip(&lat)
-                .map(|((name, _), l)| {
-                    Value::obj()
-                        .field("config", Value::Str(name.to_string()))
-                        .field("latency_cycles", Value::UInt(*l))
-                })
-                .collect(),
-        );
-        let ablation = Value::obj()
-            .field("regalloc_cycles", Value::UInt(lat[0]))
-            .field("spill_all_cycles", Value::UInt(spill_latency))
-            .field("ratio", Value::Float(spill_latency as f64 / lat[0] as f64));
-        let sweep = Value::Arr(
-            spi_sweep
-                .iter()
-                .map(|&(cycles_per_byte, l)| {
-                    Value::obj()
-                        .field(
-                            "spi_cycles_per_byte",
-                            Value::UInt(u64::from(cycles_per_byte)),
-                        )
-                        .field("latency_cycles", Value::UInt(l))
-                })
-                .collect(),
-        );
-        let data = Value::obj()
-            .field("configs", grid)
-            .field("factors", factors)
-            .field("total_measured", Value::Float(product))
-            .field("total_paper", Value::Float(10.0))
-            .field("regalloc_ablation", ablation)
-            .field("spi_sweep", sweep)
-            .field(
-                "btb_ablation",
+    let factors = Value::Arr(
+        (0..4)
+            .map(|i| {
                 Value::obj()
-                    .field("with_btb_cycles", Value::UInt(btb.with_btb.cycles))
-                    .field("without_btb_cycles", Value::UInt(btb.without_btb.cycles))
-                    .field("with_btb_ipc", Value::Float(btb.with_btb.ipc()))
-                    .field("without_btb_ipc", Value::Float(btb.without_btb.ipc()))
-                    .field("speedup", Value::Float(btb.speedup())),
-            );
+                    .field("factor", Value::Str(names[i].to_string()))
+                    .field("paper", Value::Float(paper[i]))
+                    .field("measured", Value::Float(lat[i] as f64 / lat[i + 1] as f64))
+                    .field("cycles_before", Value::UInt(lat[i]))
+                    .field("cycles_after", Value::UInt(lat[i + 1]))
+            })
+            .collect(),
+    );
+    let grid = Value::Arr(
+        configs
+            .iter()
+            .zip(&lat)
+            .map(|((name, _), l)| {
+                Value::obj()
+                    .field("config", Value::Str(name.to_string()))
+                    .field("latency_cycles", Value::UInt(*l))
+            })
+            .collect(),
+    );
+    let ablation = Value::obj()
+        .field("regalloc_cycles", Value::UInt(lat[0]))
+        .field("spill_all_cycles", Value::UInt(spill_latency))
+        .field("ratio", Value::Float(spill_latency as f64 / lat[0] as f64));
+    let sweep = Value::Arr(
+        spi_sweep
+            .iter()
+            .map(|&(cycles_per_byte, l)| {
+                Value::obj()
+                    .field(
+                        "spi_cycles_per_byte",
+                        Value::UInt(u64::from(cycles_per_byte)),
+                    )
+                    .field("latency_cycles", Value::UInt(l))
+            })
+            .collect(),
+    );
+    let data = Value::obj()
+        .field("configs", grid)
+        .field("factors", factors)
+        .field("total_measured", Value::Float(product))
+        .field("total_paper", Value::Float(10.0))
+        .field("regalloc_ablation", ablation)
+        .field("spi_sweep", sweep)
+        .field(
+            "btb_ablation",
+            Value::obj()
+                .field("with_btb_cycles", Value::UInt(btb.with_btb.cycles))
+                .field("without_btb_cycles", Value::UInt(btb.without_btb.cycles))
+                .field("with_btb_ipc", Value::Float(btb.with_btb.ipc()))
+                .field("without_btb_ipc", Value::Float(btb.without_btb.ipc()))
+                .field("speedup", Value::Float(btb.speedup())),
+        );
+    if json {
         emit_json("fig_perf", data);
         return;
     }
-
-    println!();
-    print!(
-        "{}",
-        render_table(
-            "§7.2.1: latency decomposition, verified vs unverified-prototype analogue",
-            &["factor", "paper", "measured", "cycles"],
-            &rows
-        )
-    );
-    println!();
+    experiments::print_blocks("fig_perf", data);
     println!("shape check: every factor should be ≥ ~1 and the product several-fold.");
     println!("(absolute values are simulated cycles; the paper measured 5.5 ms vs");
-    println!("0.55 ms on a 12 MHz FPGA and a 320 MHz-class FE310.)");
-
-    println!();
-    println!(
-        "register-allocation ablation: {} cycles with regalloc vs {} spilling \
-         everything ({:.2}× — what the allocator buys)",
-        lat[0],
-        spill_latency,
-        spill_latency as f64 / lat[0] as f64
-    );
-
-    let mut rows = Vec::new();
-    let mut prev: Option<u64> = None;
-    for &(cpb, l) in &spi_sweep {
-        let growth = prev.map_or("—".to_string(), |p| {
-            format!("{:.2}×", l as f64 / p as f64)
-        });
-        prev = Some(l);
-        rows.push(vec![format!("{cpb}"), l.to_string(), growth]);
-    }
-    println!();
-    print!(
-        "{}",
-        render_table(
-            "§7.2.1: SPI-boundedness — latency vs SPI cycles/byte (verified config)",
-            &["SPI cycles/byte", "latency (cycles)", "growth"],
-            &rows
-        )
-    );
-    println!();
-    println!("shape check: at high SPI cost the latency grows with the wire speed,");
-    println!("confirming the packet transfer dominates (the paper's observation).");
-
-    println!(
-        "\nFigure 4 BTB ablation (nested loops): {} cycles with the BTB (IPC {:.2}) vs {} \
-         without (IPC {:.2}), {:.2}× speedup",
-        btb.with_btb.cycles,
-        btb.with_btb.ipc(),
-        btb.without_btb.cycles,
-        btb.without_btb.ipc(),
-        btb.speedup()
-    );
+    println!("0.55 ms on a 12 MHz FPGA and a 320 MHz-class FE310.) At high SPI cost the");
+    println!("latency grows with the wire speed: the packet transfer dominates.");
 }

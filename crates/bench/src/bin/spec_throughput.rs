@@ -15,14 +15,15 @@
 //! the quick-pass traces of fault-sweep plan seeds 0–7 on both machine
 //! models, one cold `Monitor` per seed as the sweep builds it; its events
 //! per second over the cached spec machine's steps per second is the
-//! matcher ratio `scripts/bench_gate.sh` gates. The differential section
+//! matcher ratio the `bench_gate` bin gates. The differential section
 //! times the same 40-seed compiler sweep serially and sharded across every
 //! hardware thread, and self-checks that the sharded sweep's counter
-//! report is byte-for-byte deterministic across runs.
+//! report is byte-for-byte deterministic across runs. Without `--json` it
+//! prints the EXPERIMENTS.md block rendered from the record it would emit.
 
 use std::time::Instant;
 
-use bench::{cli, counters_json, emit_json, render_table, JSON};
+use bench::{cli, counters_json, emit_json, experiments, JSON};
 use lightbulb_system::devices::{Board, FaultPlan, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
     check_compiler_differential, default_shards, parallel_sweep,
@@ -57,7 +58,7 @@ impl Row {
 /// Seconds of CPU time the calling thread has used. Unlike wall-clock
 /// time it does not count the time other work on a shared host holds the
 /// CPU, so the core rows (and the ratios between them that
-/// `scripts/bench_gate.sh` checks) hold still on a busy machine.
+/// the `bench_gate` bin checks) hold still on a busy machine.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn thread_cpu_secs() -> f64 {
     /// `struct timespec` on 64-bit Linux.
@@ -238,96 +239,59 @@ fn main() {
     let deterministic = report_a == report_b;
     assert!(deterministic, "sharded sweep reports must be reproducible");
 
-    if json {
-        let cores = Value::Arr(
-            rows.iter()
-                .map(|r| {
-                    Value::obj()
-                        .field("config", Value::Str(r.config.to_string()))
-                        .field("retired", Value::UInt(r.retired))
-                        .field("seconds", Value::Float(r.secs))
-                        .field("steps_per_sec", Value::Float(r.rate()))
-                })
-                .collect(),
+    let cores = Value::Arr(
+        rows.iter()
+            .map(|r| {
+                Value::obj()
+                    .field("config", Value::Str(r.config.to_string()))
+                    .field("retired", Value::UInt(r.retired))
+                    .field("seconds", Value::Float(r.secs))
+                    .field("steps_per_sec", Value::Float(r.rate()))
+            })
+            .collect(),
+    );
+    let data = Value::obj()
+        .field(
+            "workload",
+            Value::Str("lightbulb boot + polling loop".into()),
+        )
+        .field("step_budget", Value::UInt(STEPS))
+        .field("cores", cores)
+        .field("cached_vs_seed_speedup", Value::Float(speedup))
+        .field(
+            "matcher",
+            Value::obj()
+                .field("config", Value::Str(matcher.config.to_string()))
+                .field("seeds", Value::UInt(MATCH_SEEDS.end - MATCH_SEEDS.start))
+                .field("events", Value::UInt(matcher.retired))
+                .field("seconds", Value::Float(matcher.secs))
+                .field("events_per_sec", Value::Float(matcher.rate()))
+                .field("vs_cached_spec", Value::Float(match_ratio)),
+        )
+        .field(
+            "icache",
+            Value::obj()
+                .field("hits", Value::UInt(hits))
+                .field("misses", Value::UInt(misses)),
+        )
+        .field(
+            "differential",
+            Value::obj()
+                .field("seeds", Value::UInt(DIFF_SEEDS.end - DIFF_SEEDS.start))
+                .field("serial_seconds", Value::Float(serial_secs))
+                .field("sharded_seconds", Value::Float(sharded_secs))
+                .field("shards", Value::UInt(shards as u64))
+                .field("deterministic", Value::Bool(deterministic))
+                .field("counters", counters_json(&sharded.counters)),
         );
-        let data = Value::obj()
-            .field(
-                "workload",
-                Value::Str("lightbulb boot + polling loop".into()),
-            )
-            .field("step_budget", Value::UInt(STEPS))
-            .field("cores", cores)
-            .field("cached_vs_seed_speedup", Value::Float(speedup))
-            .field(
-                "matcher",
-                Value::obj()
-                    .field("config", Value::Str(matcher.config.to_string()))
-                    .field("seeds", Value::UInt(MATCH_SEEDS.end - MATCH_SEEDS.start))
-                    .field("events", Value::UInt(matcher.retired))
-                    .field("seconds", Value::Float(matcher.secs))
-                    .field("events_per_sec", Value::Float(matcher.rate()))
-                    .field("vs_cached_spec", Value::Float(match_ratio)),
-            )
-            .field(
-                "icache",
-                Value::obj()
-                    .field("hits", Value::UInt(hits))
-                    .field("misses", Value::UInt(misses)),
-            )
-            .field(
-                "differential",
-                Value::obj()
-                    .field("seeds", Value::UInt(DIFF_SEEDS.end - DIFF_SEEDS.start))
-                    .field("serial_seconds", Value::Float(serial_secs))
-                    .field("sharded_seconds", Value::Float(sharded_secs))
-                    .field("shards", Value::UInt(shards as u64))
-                    .field("deterministic", Value::Bool(deterministic))
-                    .field("counters", counters_json(&sharded.counters)),
-            );
+    if json {
         emit_json("spec_throughput", data);
         return;
     }
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.config.to_string(),
-                format!("{}", r.retired),
-                format!("{:.3} s", r.secs),
-                format!("{:.2} Msteps/s", r.rate() / 1e6),
-            ]
-        })
-        .collect();
-    print!(
-        "{}",
-        render_table(
-            "interpreter throughput (lightbulb workload, this machine)",
-            &["core", "retired", "cpu time", "throughput"],
-            &table
-        )
-    );
-    println!();
+    experiments::print_blocks("spec_throughput", data);
     println!(
-        "decode cache: {hits} hits / {misses} misses ({:.4}% hit rate); \
-         cached vs seed speedup: {speedup:.2}x",
-        100.0 * hits as f64 / (hits + misses).max(1) as f64
-    );
-    println!(
-        "trace monitor: {} events of fault-sweep seeds {MATCH_SEEDS:?} in {:.3} s \
-         ({:.2} Mevents/s, {match_ratio:.3}x the cached spec machine's steps/s)",
-        matcher.retired,
-        matcher.secs,
-        matcher.rate() / 1e6
-    );
-    println!(
-        "differential sweep ({} seeds): serial {serial_secs:.2} s, \
-         {shards}-shard {sharded_secs:.2} s; reports {}",
-        DIFF_SEEDS.end - DIFF_SEEDS.start,
-        if deterministic {
-            "byte-identical across runs"
-        } else {
-            "NOT deterministic"
-        }
+        "differential sweep ({} seeds): serial {serial_secs:.2} s, {shards}-shard \
+         {sharded_secs:.2} s; reports byte-identical across runs",
+        DIFF_SEEDS.end - DIFF_SEEDS.start
     );
 }

@@ -6,12 +6,13 @@
 //! check, a compiler-differential batch (serial and sharded), and the real
 //! driver proofs — `spi_put`, `spi_get` and `lan_tryrecv` through
 //! `SymExec::check_function`. A driver proof that fails verification
-//! panics, so the binary exits non-zero.
+//! panics, so the binary exits non-zero. Without `--json` it prints the
+//! EXPERIMENTS.md blocks rendered from the record it would emit.
 
 use std::rc::Rc;
 use std::time::Instant;
 
-use bench::{cli, emit_json, render_table, JSON};
+use bench::{cli, emit_json, experiments, JSON};
 use lightbulb_system::bedrock2::Program;
 use lightbulb_system::devices::{Board, SpiConfig, TrafficGen};
 use lightbulb_system::integration::differential::{
@@ -96,8 +97,7 @@ fn driver_proofs() -> Vec<(&'static str, VcReport, f64)> {
 
 fn main() {
     let json = cli(env!("CARGO_BIN_NAME"), &[JSON]).has("--json");
-    let mut rows = Vec::new();
-    // (name, seconds, work) — the numeric twin of `rows` for `--json`.
+    // (name, seconds, work) of each check.
     let mut measured: Vec<(&str, f64, String)> = Vec::new();
 
     // 1. End-to-end check: boot + 2 packets + trace matching.
@@ -112,14 +112,6 @@ fn main() {
         )
         .expect("end-to-end check")
     });
-    rows.push(vec![
-        "end-to-end (boot + 2 packets + spec match)".to_string(),
-        format!("{secs:.2} s"),
-        format!(
-            "{} events, {} cycles",
-            report.events_checked, report.run.cycles
-        ),
-    ]);
     measured.push((
         "end_to_end",
         secs,
@@ -144,11 +136,6 @@ fn main() {
         )
         .expect("refinement")
     });
-    rows.push(vec![
-        "pipelined ⊑ single-cycle (replay, 2M cycles)".to_string(),
-        format!("{secs:.2} s"),
-        format!("{} events matched", r.events),
-    ]);
     measured.push(("refinement", secs, format!("{} events matched", r.events)));
 
     // 3. Compiler differential batch.
@@ -163,11 +150,6 @@ fn main() {
         }
         conclusive
     });
-    rows.push(vec![
-        "compiler differential (40 random programs)".to_string(),
-        format!("{secs:.2} s"),
-        format!("{n} conclusive"),
-    ]);
     measured.push(("compiler_differential", secs, format!("{n} conclusive")));
 
     // 3b. The same batch, sharded across every hardware thread.
@@ -177,11 +159,6 @@ fn main() {
         r.expect_clean("verif_perf parallel differential");
         r
     });
-    rows.push(vec![
-        format!("compiler differential (parallel, {shards} shards)"),
-        format!("{secs:.2} s"),
-        format!("{} conclusive", r.conclusive),
-    ]);
     measured.push((
         "compiler_differential_parallel",
         secs,
@@ -196,13 +173,6 @@ fn main() {
             r.obligations, r.paths, r.solver_queries
         )
     };
-    for (name, report, secs) in &proofs {
-        rows.push(vec![
-            format!("driver proof: {name}"),
-            format!("{secs:.4} s"),
-            work(report),
-        ]);
-    }
     let mut all = VcReport::default();
     for (_, r, _) in &proofs {
         all.obligations += r.obligations;
@@ -212,52 +182,44 @@ fn main() {
     let proof_secs: f64 = proofs.iter().map(|(_, _, s)| s).sum();
     measured.push(("driver_proofs", proof_secs, work(&all)));
 
+    let checks = Value::Arr(
+        measured
+            .iter()
+            .map(|(name, secs, work)| {
+                Value::obj()
+                    .field("check", Value::Str((*name).to_string()))
+                    .field("seconds", Value::Float(*secs))
+                    .field("work", Value::Str(work.clone()))
+            })
+            .collect(),
+    );
+    let counts = |obj: Value, r: &VcReport, secs: f64| {
+        obj.field("obligations", Value::UInt(r.obligations as u64))
+            .field("paths", Value::UInt(r.paths as u64))
+            .field("solver_queries", Value::UInt(r.solver_queries))
+            .field("seconds", Value::Float(secs))
+    };
+    let per_proof = Value::Arr(
+        proofs
+            .iter()
+            .map(|(name, r, secs)| {
+                counts(
+                    Value::obj().field("function", Value::Str((*name).into())),
+                    r,
+                    *secs,
+                )
+            })
+            .collect(),
+    );
+    let driver = counts(Value::obj(), &all, proof_secs).field("proofs", per_proof);
+    let data = Value::obj()
+        .field("checks", checks)
+        .field("driver_proofs", driver);
     if json {
-        let checks = Value::Arr(
-            measured
-                .iter()
-                .map(|(name, secs, work)| {
-                    Value::obj()
-                        .field("check", Value::Str((*name).to_string()))
-                        .field("seconds", Value::Float(*secs))
-                        .field("work", Value::Str(work.clone()))
-                })
-                .collect(),
-        );
-        let counts = |obj: Value, r: &VcReport, secs: f64| {
-            obj.field("obligations", Value::UInt(r.obligations as u64))
-                .field("paths", Value::UInt(r.paths as u64))
-                .field("solver_queries", Value::UInt(r.solver_queries))
-                .field("seconds", Value::Float(secs))
-        };
-        let per_proof = Value::Arr(
-            proofs
-                .iter()
-                .map(|(name, r, secs)| {
-                    counts(
-                        Value::obj().field("function", Value::Str((*name).into())),
-                        r,
-                        *secs,
-                    )
-                })
-                .collect(),
-        );
-        let driver = counts(Value::obj(), &all, proof_secs).field("proofs", per_proof);
-        let data = Value::obj()
-            .field("checks", checks)
-            .field("driver_proofs", driver);
         emit_json("verif_perf", data);
         return;
     }
-    print!(
-        "{}",
-        render_table(
-            "§7.2.2: verification performance (this machine)",
-            &["check", "wall clock", "work"],
-            &rows
-        )
-    );
-    println!();
+    experiments::print_blocks("verif_perf", data);
     println!("paper: ~80 min Coq build + ~2 h Kami refinement checking per CI run.");
     println!("The executable checks trade assurance for a ~3-orders-of-magnitude");
     println!("faster feedback loop — the accidental-complexity point of §7.3.");

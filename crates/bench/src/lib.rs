@@ -17,11 +17,15 @@
 //!   BTB ablation;
 //! * `verif_perf` — §7.2.2: wall-clock costs of the checking machinery;
 //! * `spec_throughput` — spec-machine, hardware-model and trace-monitor
-//!   throughput, gated against its record by `scripts/bench_gate.sh`;
+//!   throughput, gated against its record by `bench_gate`;
 //! * `fault_sweep` — the seeded fault-plan sweep, with shrinking triage of
 //!   any failing plan;
 //! * `spec_listing` — prints `goodHlTrace` as the combinator structure
-//!   `lightbulb::spec` builds (§3.1's one-page spec).
+//!   `lightbulb::spec` builds (§3.1's one-page spec);
+//! * `experiments` — rewrites EXPERIMENTS.md's generated blocks from the
+//!   records ([`experiments`]);
+//! * `bench_gate FRESH` — fails when a fresh `spec_throughput` record's
+//!   ratios fall more than 25 % below the committed record's.
 
 use lightbulb_system::compiler::CompiledProgram;
 use lightbulb_system::devices::{FaultPlan, TrafficGen};
@@ -32,6 +36,8 @@ use riscv_spec::MmioEventKind;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+pub mod experiments;
 
 /// Workspace root (this crate lives at `crates/bench`).
 pub fn workspace_root() -> PathBuf {
@@ -150,6 +156,9 @@ pub enum Takes {
     Number,
     /// A path.
     Path,
+    /// Nothing: the "flag" is a required operand, a path given on its own
+    /// and named by the flag's `name` (say `FRESH`) in the usage text.
+    Operand,
 }
 
 /// One flag a bin accepts.
@@ -203,14 +212,19 @@ pub enum ArgsError {
 }
 
 /// Parses `args` (without the program name) against the bin's `flags`.
-/// A flag given twice keeps its last value.
+/// A flag given twice keeps its last value. Each [`Takes::Operand`] is
+/// the next argument that is not a flag, and is required.
 ///
 /// # Errors
 ///
 /// [`ArgsError::Help`] on `--help`, [`ArgsError::Bad`] on anything
-/// `flags` does not describe.
+/// `flags` does not describe or a missing operand.
 pub fn parse_args(flags: &[Flag], args: &[String]) -> Result<Args, ArgsError> {
     let mut parsed = Args::default();
+    let unfilled = |parsed: &Args| {
+        let mut operands = flags.iter().filter(|f| f.takes == Takes::Operand);
+        operands.find(|f| !parsed.has(f.name))
+    };
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if arg == "--help" {
@@ -218,10 +232,12 @@ pub fn parse_args(flags: &[Flag], args: &[String]) -> Result<Args, ArgsError> {
         }
         let flag = flags
             .iter()
-            .find(|f| f.name == arg)
+            .find(|f| f.name == arg && f.takes != Takes::Operand)
+            .or_else(|| unfilled(&parsed).filter(|_| !arg.starts_with('-')))
             .ok_or_else(|| ArgsError::Bad(format!("unknown argument `{arg}`")))?;
         let value = match flag.takes {
             Takes::Nothing => String::new(),
+            Takes::Operand => arg.clone(),
             Takes::Number | Takes::Path => rest
                 .next()
                 .ok_or_else(|| ArgsError::Bad(format!("`{arg}` needs a value")))?
@@ -234,18 +250,29 @@ pub fn parse_args(flags: &[Flag], args: &[String]) -> Result<Args, ArgsError> {
         }
         parsed.0.insert(flag.name, value);
     }
-    Ok(parsed)
+    match unfilled(&parsed) {
+        Some(missing) => Err(ArgsError::Bad(format!("missing {}", missing.name))),
+        None => Ok(parsed),
+    }
 }
 
 /// The usage text of bin `bin` with `flags`.
 pub fn usage(bin: &str, flags: &[Flag]) -> String {
     let shown = |f: &Flag| match f.takes {
-        Takes::Nothing => f.name.to_string(),
+        Takes::Nothing | Takes::Operand => f.name.to_string(),
         Takes::Number => format!("{} N", f.name),
         Takes::Path => format!("{} PATH", f.name),
     };
-    let width = flags.iter().map(|f| shown(f).len()).max().unwrap_or(0);
-    let mut out = format!("usage: {bin} [options]\n\noptions:\n");
+    let width = flags
+        .iter()
+        .map(|f| shown(f).len())
+        .fold("--help".len(), usize::max);
+    let operands: String = flags
+        .iter()
+        .filter(|f| f.takes == Takes::Operand)
+        .map(|f| format!(" {}", f.name))
+        .collect();
+    let mut out = format!("usage: {bin} [options]{operands}\n\noptions:\n");
     for f in flags {
         let _ = writeln!(out, "  {:<width$}  {}", shown(f), f.help);
     }
@@ -732,11 +759,26 @@ mod tests {
             );
         }
         let text = usage("demo", FLAGS);
-        assert!(text.starts_with("usage: demo [options]"), "{text}");
+        assert!(text.starts_with("usage: demo [options]\n"), "{text}");
         assert!(
             text.contains("--seeds N") && text.contains("--dir PATH"),
             "{text}"
         );
+
+        const GATE: &[Flag] = &[Flag {
+            name: "FRESH",
+            takes: Takes::Operand,
+            help: "a record",
+        }];
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_args(GATE, &args)
+        };
+        assert_eq!(parse("new.json").unwrap().text("FRESH"), Some("new.json"));
+        for bad in ["", "a.json b.json", "--fresh a.json", "-x"] {
+            assert!(matches!(parse(bad), Err(ArgsError::Bad(_))), "{bad}");
+        }
+        assert!(usage("gate", GATE).starts_with("usage: gate [options] FRESH\n"));
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! The fallback keeps equality *sound* in the presence of fingerprint
 //! collisions: a collision can only cost a missed interning, never a wrong
 //! `==`.
+//!
+//! Interning is what keeps the executor's memory flat: with the interners
+//! and fingerprints removed here and in `formula` (structural `Eq` and
+//! `Hash`), perfbench's `driver_verify` peaked at 29.6–29.8 MiB resident
+//! instead of 14.0–14.1 MiB, and ran no faster.
 
 use bedrock2::ast::BinOp;
 use obs::fx;

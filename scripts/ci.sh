@@ -23,7 +23,7 @@ fi
 # enforced, not advisory: a bin blowing through its budget fails the run.
 # They are sized for an order-of-magnitude regression (a slow CI runner
 # fits comfortably; an accidentally quadratic check does not) — the
-# fine-grained regression gate is scripts/bench_gate.sh. CI_BUDGET_MULT
+# fine-grained regression gate is the bench_gate bin. CI_BUDGET_MULT
 # scales all budgets for unusually slow machines.
 BUDGET_MULT="${CI_BUDGET_MULT:-1}"
 
@@ -49,25 +49,13 @@ echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tests (release) =="
+# experiments_doc's generated_blocks_match_their_records fails on a hand
+# edit inside an EXPERIMENTS.md generated block, or on a stale block.
 cargo test --workspace --release
 
 echo "== docs =="
 # Warnings are errors: a doc link left dangling by a deleted item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-echo "== EXPERIMENTS.md generated blocks =="
-# experiments_doc checks the quoted numbers; this checks the rendered
-# text: regenerating every block from the committed records must be a
-# no-op, so a hand edit inside a generated block fails here.
-if command -v python3 >/dev/null 2>&1; then
-  cp EXPERIMENTS.md /tmp/EXPERIMENTS.committed.md
-  python3 scripts/experiments_tables.py
-  if ! diff -u /tmp/EXPERIMENTS.committed.md EXPERIMENTS.md; then
-    cp /tmp/EXPERIMENTS.committed.md EXPERIMENTS.md
-    echo "EXPERIMENTS.md differs from its records: run python3 scripts/experiments_tables.py" >&2
-    exit 1
-  fi
-fi
 
 echo "== examples =="
 for e in quickstart lightbulb_demo malformed_packet_fuzz differential_compiler pipeline_trace packet_counter observed_run; do
@@ -98,6 +86,11 @@ if [ "$status" != 2 ] || grep -q 'seeds swept' /tmp/fault_sweep_bad.txt; then
   echo "fault_sweep --seed 96 must exit 2 without sweeping (exit $status)" >&2
   exit 1
 fi
+for b in experiments bench_gate; do
+  cargo run --release -q -p bench --bin "$b" -- --help | grep -q "^usage: $b"
+  status=0; cargo run --release -q -p bench --bin "$b" -- --bogus 2>/dev/null || status=$?
+  [ "$status" = 2 ] || { echo "$b --bogus must exit 2 (exit $status)" >&2; exit 1; }
+done
 
 echo "== fault-sweep smoke (budgeted wall clock) =="
 # Bounded version of the full 1000-seed sweep (BENCH_fault_sweep.json):
@@ -136,7 +129,7 @@ fi
 echo "== perf-regression gate =="
 # Compare a fresh record against the committed baseline ±tolerance.
 cargo run --release -p bench --bin spec_throughput -- --json > /tmp/fresh_spec_throughput.json
-scripts/bench_gate.sh /tmp/fresh_spec_throughput.json
+cargo run --release -p bench --bin bench_gate -- /tmp/fresh_spec_throughput.json
 
 if [ "$DEEP" = "1" ]; then
   echo "== deep: full 1000-seed fault sweep =="
