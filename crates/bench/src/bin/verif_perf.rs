@@ -178,6 +178,7 @@ fn main() {
         all.obligations += r.obligations;
         all.paths += r.paths;
         all.solver_queries += r.solver_queries;
+        all.solver_contexts += r.solver_contexts;
     }
     let proof_secs: f64 = proofs.iter().map(|(_, _, s)| s).sum();
     measured.push(("driver_proofs", proof_secs, work(&all)));
@@ -197,6 +198,7 @@ fn main() {
         obj.field("obligations", Value::UInt(r.obligations as u64))
             .field("paths", Value::UInt(r.paths as u64))
             .field("solver_queries", Value::UInt(r.solver_queries))
+            .field("solver_contexts", Value::UInt(r.solver_contexts))
             .field("seconds", Value::Float(secs))
     };
     let per_proof = Value::Arr(

@@ -393,14 +393,15 @@ fn driver_proofs(d: &Field) -> Result<Vec<String>, String> {
     named.push(("total", total));
     let mut rows = Vec::new();
     for (name, r) in named {
-        let [obligations, paths, queries] = r.ints(["obligations", "paths", "solver_queries"])?;
+        let [obligations, paths, queries, contexts] =
+            r.ints(["obligations", "paths", "solver_queries", "solver_contexts"])?;
         let ms = 1e3 * r.num("seconds")?;
         rows.push(format!(
-            "| {name} | {obligations} | {paths} | {queries} | {ms:.2} ms |"
+            "| {name} | {obligations} | {paths} | {queries} | {contexts} | {ms:.2} ms |"
         ));
     }
-    let columns = "| proof | obligations | paths | solver queries | wall clock |";
-    let rule = "|---|---:|---:|---:|---:|";
+    let columns = "| proof | obligations | paths | solver queries | solver contexts | wall clock |";
+    let rule = "|---|---:|---:|---:|---:|---:|";
     Ok(table("verif_perf", columns, rule, rows))
 }
 

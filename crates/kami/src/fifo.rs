@@ -5,7 +5,9 @@
 /// exposed so rules can check their own readiness.
 ///
 /// Storage is a ring of `capacity.next_power_of_two()` slots allocated
-/// once: `len` live slots from `head` on, every other slot `None`.
+/// once: `len` live slots from `head` on, every other slot `None`. The
+/// slot count is a power of two, so the ring index wraps with a mask
+/// instead of a hardware divide.
 #[derive(Clone, Debug)]
 pub struct Fifo<T> {
     slots: Box<[Option<T>]>,
@@ -49,7 +51,7 @@ impl<T> Fifo<T> {
     /// not full.
     pub fn enq(&mut self, item: T) {
         assert!(self.can_enq(), "enq on full FIFO");
-        let tail = (self.head + self.len) % self.slots.len();
+        let tail = (self.head + self.len) & (self.slots.len() - 1);
         self.slots[tail] = Some(item);
         self.len += 1;
     }
@@ -61,7 +63,7 @@ impl<T> Fifo<T> {
     /// Panics when empty.
     pub fn deq(&mut self) -> T {
         let item = self.slots[self.head].take().expect("deq on empty FIFO");
-        self.head = (self.head + 1) % self.slots.len();
+        self.head = (self.head + 1) & (self.slots.len() - 1);
         self.len -= 1;
         item
     }

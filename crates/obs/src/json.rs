@@ -98,9 +98,14 @@ impl Value {
                 let _ = write!(out, "{n}");
             }
             Value::Float(n) if n.is_finite() => {
-                // `{}` on f64 keeps enough digits to round-trip; integral
-                // floats like 2.0 render as "2", still valid JSON.
+                // `{}` on f64 keeps enough digits to round-trip and never
+                // uses an exponent; an integral float like 2.0 renders as
+                // "2", so it gets a fraction to parse back as a float.
+                let start = out.len();
                 let _ = write!(out, "{n}");
+                if !out[start..].contains('.') {
+                    out.push_str(".0");
+                }
             }
             Value::Float(_) => out.push_str("null"),
             Value::Str(s) => escape_into(s, out),
@@ -400,6 +405,17 @@ mod tests {
             );
         let text = doc.render();
         assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn integral_floats_stay_floats() {
+        for n in [10.0, 0.0, -3.0, 1e20] {
+            let text = Value::Float(n).render();
+            assert!(text.ends_with(".0"), "{n} rendered as {text}");
+            assert_eq!(parse(&text).unwrap(), Value::Float(n));
+        }
+        assert_eq!(Value::Float(2.25).render(), "2.25");
+        assert_eq!(Value::UInt(10).render(), "10");
     }
 
     #[test]

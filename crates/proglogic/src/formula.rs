@@ -2,7 +2,11 @@
 //!
 //! A [`Formula`] is an interned, immutable node carrying a cached 128-bit
 //! structural fingerprint, so formula equality has a pointer fast path and
-//! `Hash` is O(1), as for terms.
+//! `Hash` is O(1), as for terms. Formulas are single-threaded (`Rc`, not
+//! `Send`) for the same reason as terms: the executor runs each proof on
+//! one thread, and atomic reference counts were a large share of its
+//! time. The trace predicates of [`crate::trace`] do not use formulas and
+//! stay `Send + Sync`.
 //! Pattern matching goes through [`Formula::view`], which exposes the
 //! structure as a borrow without giving up the interned representation:
 //!
@@ -21,7 +25,7 @@ use obs::fx;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[derive(Debug)]
 enum Node {
@@ -46,7 +50,7 @@ struct Inner {
 /// A formula over symbolic 32-bit words.
 #[derive(Clone)]
 pub struct Formula {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 /// A borrowed view of a formula's top constructor, for pattern matching.
@@ -85,6 +89,14 @@ thread_local! {
         RefCell::new(HashMap::default());
 }
 
+/// Empties this thread's formula interner, as the `INTERN_CAP` reset
+/// does: formulas built afterwards do not share allocations with earlier
+/// ones.
+#[cfg(test)]
+fn reset_interner() {
+    INTERNER.with(|table| table.borrow_mut().clear());
+}
+
 fn fold128(h: u128, x: u128) -> u128 {
     fx::mix128(fx::mix128(h, x as u64), (x >> 64) as u64)
 }
@@ -107,26 +119,16 @@ impl fmt::Debug for Formula {
 
 impl PartialEq for Formula {
     fn eq(&self, other: &Formula) -> bool {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
+        if Rc::ptr_eq(&self.inner, &other.inner) {
             return true;
         }
         if self.inner.fp != other.inner.fp {
             return false;
         }
-        // Cross-thread or collided allocations: decide structurally (the
-        // nested comparisons re-enter the pointer fast path).
-        match (&self.inner.node, &other.inner.node) {
-            (Node::True, Node::True) | (Node::False, Node::False) => true,
-            (Node::Eq(a1, b1), Node::Eq(a2, b2))
-            | (Node::Ne(a1, b1), Node::Ne(a2, b2))
-            | (Node::Ltu(a1, b1), Node::Ltu(a2, b2))
-            | (Node::Leu(a1, b1), Node::Leu(a2, b2)) => a1 == a2 && b1 == b2,
-            (Node::And(a1, b1), Node::And(a2, b2)) | (Node::Or(a1, b1), Node::Or(a2, b2)) => {
-                a1 == a2 && b1 == b2
-            }
-            (Node::Not(a1), Node::Not(a2)) => a1 == a2,
-            _ => false,
-        }
+        // Allocations from either side of an interner reset, or collided
+        // fingerprints: decide structurally (the nested comparisons
+        // re-enter the pointer fast path).
+        Formula::structurally_same(&self.inner.node, &other.inner.node)
     }
 }
 
@@ -193,14 +195,14 @@ impl Formula {
                 }
                 // Fingerprint collision: fresh, un-interned allocation.
                 return Formula {
-                    inner: Arc::new(Inner { fp, node }),
+                    inner: Rc::new(Inner { fp, node }),
                 };
             }
             if table.len() >= INTERN_CAP {
                 table.clear();
             }
             let f = Formula {
-                inner: Arc::new(Inner { fp, node }),
+                inner: Rc::new(Inner { fp, node }),
             };
             table.insert(fp, f.clone());
             f
@@ -421,11 +423,29 @@ mod tests {
     fn hash_consing_interns_equal_formulas() {
         let a = Formula::ltu(&Term::var(0, "i"), &Term::constant(380));
         let b = Formula::ltu(&Term::var(0, "i"), &Term::constant(380));
-        assert!(Arc::ptr_eq(&a.inner, &b.inner));
+        assert!(Rc::ptr_eq(&a.inner, &b.inner));
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Different comparison, same operands: distinct fingerprints.
         let c = Formula::leu(&Term::var(0, "i"), &Term::constant(380));
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn separately_allocated_equal_formulas_compare_equal() {
+        let (i, n) = (Term::var(0, "i"), Term::constant(380));
+        let build = || Formula::ltu(&i, &n).and(Formula::ne(&i, &Term::constant(7)));
+        let first = build();
+        reset_interner();
+        let second = build();
+        // Only the formula interner was reset: the operand terms are still
+        // shared, the formula nodes are not, so equality comes from the
+        // structural fallback.
+        assert!(!Rc::ptr_eq(&first.inner, &second.inner));
+        assert_eq!(first, second);
+        assert_ne!(
+            first,
+            Formula::ltu(&i, &n).and(Formula::ne(&i, &Term::constant(8)))
+        );
     }
 
     #[test]

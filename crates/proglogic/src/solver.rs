@@ -16,7 +16,7 @@
 //! goal.
 
 use crate::formula::{Formula, FormulaView};
-use crate::term::{SymVar, Term};
+use crate::term::Term;
 use bedrock2::ast::BinOp;
 use obs::fx;
 use std::collections::HashMap;
@@ -59,8 +59,17 @@ impl Iv {
     }
 }
 
-struct Ctx {
-    subst: HashMap<SymVar, Term>,
+/// What the procedure derives from one assumption list, built once and
+/// then asked any number of questions. It is a pure function of the
+/// assumptions, so a reused context answers exactly as a fresh one; the
+/// free functions [`prove`] and [`contradictory`] build one per call.
+pub struct Context {
+    /// The assumptions, as given.
+    assumptions: Vec<Formula>,
+    /// Some assumption is `⊥`, or some interval came out empty.
+    vacuous: bool,
+    /// Variable-equals-constant substitutions, keyed by the variable term.
+    subst: HashMap<Term, Term, fx::FxBuild>,
     facts: HashMap<Term, Iv, fx::FxBuild>,
 }
 
@@ -124,23 +133,32 @@ fn normalize(a: &Formula, out: &mut Vec<Formula>) {
     }
 }
 
-impl Ctx {
-    fn from_assumptions(raw: &[Formula]) -> Ctx {
+impl Context {
+    /// Builds the context of `raw`.
+    pub fn new(raw: &[Formula]) -> Context {
+        let mut ctx = Context {
+            assumptions: raw.to_vec(),
+            vacuous: raw.iter().any(Formula::is_false),
+            subst: HashMap::default(),
+            facts: HashMap::default(),
+        };
+        if ctx.vacuous {
+            return ctx;
+        }
         let mut assumptions = Vec::with_capacity(raw.len());
         for a in raw {
             normalize(a, &mut assumptions);
         }
         let assumptions = &assumptions;
-        let mut ctx = Ctx {
-            subst: HashMap::new(),
-            facts: HashMap::default(),
-        };
         // Pass 1: collect var = const substitutions.
         for a in assumptions {
             if let FormulaView::Eq(l, r) = a.view() {
                 match (l.as_var(), r.as_const(), r.as_var(), l.as_const()) {
-                    (Some(v), Some(c), _, _) | (_, _, Some(v), Some(c)) => {
-                        ctx.subst.insert(v.clone(), Term::constant(c));
+                    (Some(_), Some(c), _, _) => {
+                        ctx.subst.insert(l.clone(), Term::constant(c));
+                    }
+                    (_, _, Some(_), Some(c)) => {
+                        ctx.subst.insert(r.clone(), Term::constant(c));
                     }
                     _ => {}
                 }
@@ -239,7 +257,34 @@ impl Ctx {
                 }
             }
         }
+        ctx.vacuous = ctx.facts.values().any(|iv| iv.is_empty());
         ctx
+    }
+
+    /// The assumption list this context was built from.
+    pub(crate) fn assumptions(&self) -> &[Formula] {
+        &self.assumptions
+    }
+
+    /// Attempts to prove `goal` from the assumptions. A contradictory
+    /// assumption set proves anything (the vacuous case that arises on
+    /// infeasible symbolic paths).
+    pub fn prove(&self, goal: &Formula) -> Outcome {
+        if self.vacuous {
+            return Outcome::Proved;
+        }
+        self.entails(goal)
+    }
+
+    /// True when the assumptions are unsatisfiable as far as this
+    /// procedure can tell: an empty interval, or some assumption refuted
+    /// from the others' intervals.
+    pub fn contradictory(&self) -> bool {
+        self.vacuous
+            || self
+                .assumptions
+                .iter()
+                .any(|a| self.entails(&a.clone().negate()) == Outcome::Proved)
     }
 
     fn add_fact(&mut self, t: Term, iv: Iv) {
@@ -251,8 +296,8 @@ impl Ctx {
         if self.subst.is_empty() {
             return t.clone();
         }
-        if let Some(v) = t.as_var() {
-            return self.subst.get(v).cloned().unwrap_or_else(|| t.clone());
+        if t.as_var().is_some() {
+            return self.subst.get(t).cloned().unwrap_or_else(|| t.clone());
         }
         if let Some((op, a, b)) = t.as_op() {
             return Term::op(op, &self.substitute(a), &self.substitute(b));
@@ -260,11 +305,12 @@ impl Ctx {
         t.clone()
     }
 
-    /// Any assumption's interval became empty ⇒ contradictory context.
-    fn contradictory(&self) -> bool {
-        self.facts.values().any(|iv| iv.is_empty())
-    }
-
+    /// Bounds on `t`: its operands' intervals combined by `t`'s operator,
+    /// met with any fact on `t`. The meet can come out empty, and then an
+    /// empty operand interval feeds the arithmetic above it; that happens
+    /// only under unsatisfiable assumptions, where any interval is sound,
+    /// so the subtractions that a non-empty operand keeps from
+    /// underflowing wrap instead of panicking.
     fn interval(&self, t: &Term) -> Iv {
         let computed = if let Some(c) = t.as_const() {
             Iv::point(c)
@@ -287,7 +333,7 @@ impl Ctx {
                     if ia.lo >= ib.hi {
                         Iv {
                             lo: ia.lo - ib.hi,
-                            hi: ia.hi - ib.lo,
+                            hi: ia.hi.wrapping_sub(ib.lo),
                         }
                     } else {
                         Iv::FULL
@@ -315,7 +361,7 @@ impl Ctx {
                     if ib.lo > 0 {
                         Iv {
                             lo: 0,
-                            hi: ia.hi.min(ib.hi - 1),
+                            hi: ia.hi.min(ib.hi.wrapping_sub(1)),
                         }
                     } else {
                         // Remainder by a possibly-zero divisor yields the
@@ -377,25 +423,26 @@ impl Ctx {
         }
     }
 
-    fn prove(&self, goal: &Formula) -> Outcome {
+    /// Structural decomposition of `goal` over the derived facts.
+    fn entails(&self, goal: &Formula) -> Outcome {
         match goal.view() {
             FormulaView::True => Outcome::Proved,
             FormulaView::False => Outcome::Unknown,
             FormulaView::And(a, b) => {
-                if self.prove(a) == Outcome::Proved && self.prove(b) == Outcome::Proved {
+                if self.entails(a) == Outcome::Proved && self.entails(b) == Outcome::Proved {
                     Outcome::Proved
                 } else {
                     Outcome::Unknown
                 }
             }
             FormulaView::Or(a, b) => {
-                if self.prove(a) == Outcome::Proved || self.prove(b) == Outcome::Proved {
+                if self.entails(a) == Outcome::Proved || self.entails(b) == Outcome::Proved {
                     Outcome::Proved
                 } else {
                     Outcome::Unknown
                 }
             }
-            FormulaView::Not(f) => self.prove(&f.clone().negate()),
+            FormulaView::Not(f) => self.entails(&f.clone().negate()),
             FormulaView::Eq(l, r) => {
                 let (l, r) = (self.substitute(l), self.substitute(r));
                 if l == r {
@@ -442,38 +489,17 @@ impl Ctx {
     }
 }
 
-/// Attempts to prove `goal` from `assumptions`.
-///
-/// A contradictory assumption set proves anything (the vacuous case that
-/// arises on infeasible symbolic paths).
+/// Attempts to prove `goal` from `assumptions` ([`Context::prove`] of a
+/// fresh context).
 pub fn prove(assumptions: &[Formula], goal: &Formula) -> Outcome {
-    if assumptions.iter().any(Formula::is_false) {
-        return Outcome::Proved;
-    }
-    let ctx = Ctx::from_assumptions(assumptions);
-    if ctx.contradictory() {
-        return Outcome::Proved;
-    }
-    ctx.prove(goal)
+    Context::new(assumptions).prove(goal)
 }
 
 /// True when the assumptions are unsatisfiable as far as this procedure
-/// can tell (used to prune infeasible symbolic paths).
+/// can tell (used to prune infeasible symbolic paths;
+/// [`Context::contradictory`] of a fresh context).
 pub fn contradictory(assumptions: &[Formula]) -> bool {
-    if assumptions.iter().any(Formula::is_false) {
-        return true;
-    }
-    let ctx = Ctx::from_assumptions(assumptions);
-    if ctx.contradictory() {
-        return true;
-    }
-    // Also try refuting each assumption from the others' intervals.
-    for a in assumptions {
-        if ctx.prove(&a.clone().negate()) == Outcome::Proved {
-            return true;
-        }
-    }
-    false
+    Context::new(assumptions).contradictory()
 }
 
 #[cfg(test)]

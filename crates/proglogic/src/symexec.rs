@@ -24,13 +24,13 @@
 //! `base + constant-offset` decomposition.
 
 use crate::formula::Formula;
-use crate::solver::{self, Outcome};
+use crate::solver::{Context, Outcome};
 use crate::term::Term;
 use bedrock2::ast::{Expr, Program, Size, Stmt};
 use obs::Counters;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -242,12 +242,14 @@ impl SymState {
     }
 
     /// Weak update: the region's contents become unknown (sound for
-    /// safety; symbolic-index stores lose value precision).
+    /// safety; symbolic-index stores lose value precision). Each word
+    /// becomes a fresh `name'[i]`, all names written into one buffer.
     fn havoc_region(&mut self, ri: usize) {
-        let n = self.regions[ri].words.len();
-        let name = self.regions[ri].name.clone();
-        for wi in 0..n {
-            let fresh = self.fresh(&format!("{name}'[{wi}]"));
+        let mut buf = String::new();
+        for wi in 0..self.regions[ri].words.len() {
+            buf.clear();
+            let _ = write!(buf, "{}'[{wi}]", self.regions[ri].name);
+            let fresh = self.fresh(&buf);
             self.regions[ri].words[wi] = fresh;
         }
     }
@@ -268,20 +270,14 @@ impl SymState {
     /// Havocs every memory word and the listed locals (used when entering
     /// a loop whose invariant abstracts the modified state).
     fn havoc(&mut self, locals: &[String]) {
-        let names: Vec<(usize, usize, String)> = self
-            .regions
-            .iter()
-            .enumerate()
-            .flat_map(|(ri, r)| {
-                (0..r.words.len()).map(move |wi| (ri, wi, format!("{}'[{}]", r.name, wi)))
-            })
-            .collect();
-        for (ri, wi, name) in names {
-            let fresh = self.fresh(&name);
-            self.regions[ri].words[wi] = fresh;
+        for ri in 0..self.regions.len() {
+            self.havoc_region(ri);
         }
+        let mut buf = String::new();
         for x in locals {
-            let fresh = self.fresh(&format!("{x}'"));
+            buf.clear();
+            let _ = write!(buf, "{x}'");
+            let fresh = self.fresh(&buf);
             self.locals.insert(x.clone(), fresh);
         }
     }
@@ -418,7 +414,12 @@ pub struct SymExec<'p, E> {
     pub auto_invariants: bool,
     call_depth_limit: usize,
     solver_queries: Cell<u64>,
+    solver_contexts: Cell<u64>,
     solver_nanos: Cell<u64>,
+    /// The solver context of the last path condition asked about: the
+    /// queries of one state (its obligations, one after the other) share
+    /// it.
+    last_context: RefCell<Option<Context>>,
 }
 
 /// Statistics from a successful verification, exported as `proglogic.*`
@@ -433,6 +434,9 @@ pub struct VcReport {
     pub branches: u64,
     /// Solver queries issued (proofs and feasibility checks).
     pub solver_queries: u64,
+    /// Solver contexts built: a query whose path condition equals the
+    /// previous query's reuses that query's context.
+    pub solver_contexts: u64,
     /// Total solver wall time, in microseconds.
     pub solver_micros: u64,
 }
@@ -445,6 +449,7 @@ impl VcReport {
         c.set("proglogic.vc.obligations", self.obligations as u64);
         c.set("proglogic.symexec.branches", self.branches);
         c.set("proglogic.solver.queries", self.solver_queries);
+        c.set("proglogic.solver.contexts", self.solver_contexts);
         c.set("proglogic.solver.micros", self.solver_micros);
         c.set("proglogic.solver.proved", self.obligations as u64);
         c
@@ -462,28 +467,38 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
             auto_invariants: false,
             call_depth_limit: 8,
             solver_queries: Cell::new(0),
+            solver_contexts: Cell::new(0),
             solver_nanos: Cell::new(0),
+            last_context: RefCell::new(None),
         }
     }
 
-    /// Calls [`solver::prove`], accounting the query and its wall time.
-    fn solve(&self, assumptions: &[Formula], goal: &Formula) -> Outcome {
+    /// Asks `ask` of the solver context of `path`, accounting the query
+    /// and its wall time. The context is rebuilt only when `path` differs
+    /// from the last one asked about (elementwise `==`, pointer equality
+    /// for interned formulas).
+    fn query<T>(&self, path: &[Formula], ask: impl FnOnce(&Context) -> T) -> T {
         let t = Instant::now();
-        let out = solver::prove(assumptions, goal);
+        let mut cached = self.last_context.borrow_mut();
+        if !matches!(&*cached, Some(ctx) if ctx.assumptions() == path) {
+            *cached = Some(Context::new(path));
+            self.solver_contexts.set(self.solver_contexts.get() + 1);
+        }
+        let out = ask(cached.as_ref().expect("context built above"));
         self.solver_nanos
             .set(self.solver_nanos.get() + t.elapsed().as_nanos() as u64);
         self.solver_queries.set(self.solver_queries.get() + 1);
         out
     }
 
-    /// Calls [`solver::contradictory`], accounting the query and its time.
+    /// [`Context::prove`] of `goal` under `assumptions`.
+    fn solve(&self, assumptions: &[Formula], goal: &Formula) -> Outcome {
+        self.query(assumptions, |ctx| ctx.prove(goal))
+    }
+
+    /// [`Context::contradictory`] of `path`.
     fn infeasible(&self, path: &[Formula]) -> bool {
-        let t = Instant::now();
-        let out = solver::contradictory(path);
-        self.solver_nanos
-            .set(self.solver_nanos.get() + t.elapsed().as_nanos() as u64);
-        self.solver_queries.set(self.solver_queries.get() + 1);
-        out
+        self.query(path, Context::contradictory)
     }
 
     /// Registers an invariant for the loop with static id `id` (ids are
@@ -517,7 +532,9 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
             st.locals.insert(p.clone(), a);
         }
         self.solver_queries.set(0);
+        self.solver_contexts.set(0);
         self.solver_nanos.set(0);
+        self.last_context.replace(None);
         let mut report = VcReport::default();
         let finals = self.exec(&f.body, vec![st], &loop_ids, 0, &mut report)?;
         for st in finals {
@@ -532,36 +549,37 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
                 })
                 .collect::<Result<_, _>>()?;
             for goal in post(&st, &rets) {
-                self.discharge(&st, &goal, "postcondition", &mut report)?;
+                self.discharge(&st, &goal, format_args!("postcondition"), &mut report)?;
             }
             report.paths += 1;
         }
         report.solver_queries = self.solver_queries.get();
+        report.solver_contexts = self.solver_contexts.get();
         report.solver_micros = self.solver_nanos.get() / 1_000;
         Ok(report)
     }
 
+    /// Proves an obligation and counts it in `report`.
     fn discharge(
         &self,
         st: &SymState,
         goal: &Formula,
-        context: &str,
+        context: fmt::Arguments<'_>,
         report: &mut VcReport,
     ) -> Result<(), VcError> {
-        match self.solve(&st.path, goal) {
-            Outcome::Proved => {
-                report.obligations += 1;
-                Ok(())
-            }
-            Outcome::Unknown => Err(VcError::ProofFailed {
-                goal: format!("{goal:?}"),
-                context: context.to_string(),
-            }),
-        }
+        self.prove_mem(st, goal, context)?;
+        report.obligations += 1;
+        Ok(())
     }
 
-    /// Proves a memory-safety obligation under the state's path condition.
-    fn prove_mem(&self, st: &SymState, goal: &Formula, context: &str) -> Result<(), VcError> {
+    /// Proves `goal` under the state's path condition. The `context` is
+    /// rendered only when the proof fails.
+    fn prove_mem(
+        &self,
+        st: &SymState,
+        goal: &Formula,
+        context: fmt::Arguments<'_>,
+    ) -> Result<(), VcError> {
         match self.solve(&st.path, goal) {
             Outcome::Proved => Ok(()),
             Outcome::Unknown => Err(VcError::ProofFailed {
@@ -628,7 +646,7 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         self.prove_mem(
             st,
             &Formula::leu(&off.add_const(n), &Term::constant(bytes)),
-            &format!("bounds of symbolic access into '{name}'"),
+            format_args!("bounds of symbolic access into '{name}'"),
         )?;
         if n > 1 {
             self.prove_mem(
@@ -637,7 +655,7 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
                     &Term::op(bedrock2::ast::BinOp::RemU, off, &Term::constant(n)),
                     &Term::constant(0),
                 ),
-                &format!("alignment of symbolic access into '{name}'"),
+                format_args!("alignment of symbolic access into '{name}'"),
             )?;
         }
         Ok(())
@@ -788,7 +806,7 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
                     }
                 })?;
                 for req in &result.require {
-                    self.discharge(&st, req, &format!("precondition of {action}"), report)?;
+                    self.discharge(&st, req, format_args!("precondition of {action}"), report)?;
                 }
                 st.trace.push((action.clone(), argv, result.rets.clone()));
                 for f in result.assume {
@@ -857,7 +875,12 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
     ) -> Result<Vec<SymState>, VcError> {
         // 1. Establishment.
         for goal in (inv.holds)(&st) {
-            self.discharge(&st, &goal, "loop invariant (establishment)", report)?;
+            self.discharge(
+                &st,
+                &goal,
+                format_args!("loop invariant (establishment)"),
+                report,
+            )?;
         }
         // 2. Arbitrary iteration: havoc, assume invariant.
         st.havoc(&inv.havoc);
@@ -872,7 +895,12 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         if !self.infeasible(&iter.path) {
             for body_final in self.exec1(body, iter, loop_ids, depth, report)? {
                 for goal in (inv.holds)(&body_final) {
-                    self.discharge(&body_final, &goal, "loop invariant (preservation)", report)?;
+                    self.discharge(
+                        &body_final,
+                        &goal,
+                        format_args!("loop invariant (preservation)"),
+                        report,
+                    )?;
                 }
             }
         }

@@ -14,17 +14,26 @@
 //! fingerprint. Within a thread, building the same term twice returns the
 //! same allocation, so:
 //!
-//! * structural equality is usually pointer equality (`Arc::ptr_eq` fast
-//!   path, with a fingerprint-guarded structural fallback for terms that
-//!   crossed threads or collided in the interner);
+//! * structural equality is usually pointer equality (`Rc::ptr_eq` fast
+//!   path, with a fingerprint-guarded structural fallback for terms the
+//!   interner did not share: fingerprint collisions, and terms built on
+//!   either side of an interner reset at `INTERN_CAP`);
 //! * `Hash` is O(1) — it feeds the cached fingerprint, never the tree —
 //!   which makes the solver's fact maps cheap;
-//! * terms are `Send + Sync` (`Arc`-based), so a term built on one thread
-//!   can be moved to and compared on another.
+//! * a variable the interner already holds costs no allocation:
+//!   [`Term::var`] looks the fingerprint of `(id, name)` up before it
+//!   builds the name `String`.
 //!
 //! The fallback keeps equality *sound* in the presence of fingerprint
 //! collisions: a collision can only cost a missed interning, never a wrong
 //! `==`.
+//!
+//! Terms are single-threaded (`Rc`, not `Send`). The symbolic executor
+//! runs each proof on one thread, and with `Arc` the atomic reference
+//! counts of clone and drop were over a quarter of a driver proof's
+//! profile samples. A [`Term::fingerprint`] is a plain `u128` and may
+//! cross threads; two threads building the same term get equal
+//! fingerprints.
 //!
 //! Interning is what keeps the executor's memory flat: with the interners
 //! and fingerprints removed here and in `formula` (structural `Eq` and
@@ -36,7 +45,7 @@ use obs::fx;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A symbolic variable: a unique id plus a human-readable name.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -64,7 +73,7 @@ struct Inner {
 /// A symbolic word (an interned, immutable DAG node).
 #[derive(Clone)]
 pub struct Term {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 /// Fingerprint seed (π digits) — any fixed nonzero constant works (see
@@ -83,6 +92,13 @@ const INTERN_CAP: usize = 1 << 20;
 thread_local! {
     static INTERNER: RefCell<HashMap<u128, Term, fx::FxBuild>> =
         RefCell::new(HashMap::default());
+}
+
+/// Empties this thread's interner, as the `INTERN_CAP` reset does: terms
+/// built afterwards do not share allocations with earlier ones.
+#[cfg(test)]
+fn reset_interner() {
+    INTERNER.with(|table| table.borrow_mut().clear());
 }
 
 fn fold128(h: u128, x: u128) -> u128 {
@@ -107,14 +123,14 @@ impl fmt::Debug for Term {
 
 impl PartialEq for Term {
     fn eq(&self, other: &Term) -> bool {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
+        if Rc::ptr_eq(&self.inner, &other.inner) {
             return true;
         }
         if self.inner.fp != other.inner.fp {
             return false;
         }
         // Same fingerprint but different allocation: either the terms
-        // crossed threads (each thread has its own interner) or the
+        // were built on either side of an interner reset or the
         // fingerprints collided. Decide structurally; inner comparisons
         // re-enter the pointer fast path, so this stays shallow.
         match (&self.inner.node, &other.inner.node) {
@@ -142,35 +158,28 @@ impl Term {
         self.inner.fp
     }
 
-    /// Interns `node` under `fp`, returning the canonical allocation for
-    /// this thread when one exists.
-    fn intern(fp: u128, node: Node) -> Term {
+    /// Returns the interned term under `fp` when it is structurally
+    /// `same`; otherwise allocates `node()` and interns it (unless a
+    /// different term already holds `fp`). `node` runs only on a miss.
+    fn intern(fp: u128, same: impl Fn(&Node) -> bool, node: impl FnOnce() -> Node) -> Term {
         INTERNER.with(|table| {
             let mut table = table.borrow_mut();
             if let Some(existing) = table.get(&fp) {
-                let same = match (&existing.inner.node, &node) {
-                    (Node::Const(a), Node::Const(b)) => a == b,
-                    (Node::Var(a), Node::Var(b)) => a == b,
-                    (Node::Op(op1, a1, b1), Node::Op(op2, a2, b2)) => {
-                        op1 == op2 && a1 == a2 && b1 == b2
-                    }
-                    _ => false,
-                };
-                if same {
+                if same(&existing.inner.node) {
                     return existing.clone();
                 }
                 // Fingerprint collision: leave the incumbent interned and
                 // hand out a fresh allocation (equality stays sound via
                 // the structural fallback).
                 return Term {
-                    inner: Arc::new(Inner { fp, node }),
+                    inner: Rc::new(Inner { fp, node: node() }),
                 };
             }
             if table.len() >= INTERN_CAP {
                 table.clear();
             }
             let term = Term {
-                inner: Arc::new(Inner { fp, node }),
+                inner: Rc::new(Inner { fp, node: node() }),
             };
             table.insert(fp, term.clone());
             term
@@ -180,10 +189,15 @@ impl Term {
     /// A constant word.
     pub fn constant(c: u32) -> Term {
         let fp = fx::mix128(fx::mix128(SEED, TAG_CONST), c as u64);
-        Term::intern(fp, Node::Const(c))
+        Term::intern(
+            fp,
+            |n| matches!(n, Node::Const(x) if *x == c),
+            || Node::Const(c),
+        )
     }
 
-    /// A symbolic variable.
+    /// A symbolic variable. Allocates its name only when the interner
+    /// does not hold the variable yet.
     pub fn var(id: u32, name: &str) -> Term {
         let mut fp = fx::mix128(fx::mix128(SEED, TAG_VAR), id as u64);
         fp = fx::mix128(fp, name.len() as u64);
@@ -192,10 +206,13 @@ impl Term {
         }
         Term::intern(
             fp,
-            Node::Var(SymVar {
-                id,
-                name: name.to_string(),
-            }),
+            |n| matches!(n, Node::Var(v) if v.id == id && v.name == name),
+            || {
+                Node::Var(SymVar {
+                    id,
+                    name: name.to_string(),
+                })
+            },
         )
     }
 
@@ -203,7 +220,11 @@ impl Term {
         let mut fp = fx::mix128(fx::mix128(SEED, TAG_OP), op as u64);
         fp = fold128(fp, a.inner.fp);
         fp = fold128(fp, b.inner.fp);
-        Term::intern(fp, Node::Op(op, a.clone(), b.clone()))
+        Term::intern(
+            fp,
+            |n| matches!(n, Node::Op(o, x, y) if *o == op && x == a && y == b),
+            || Node::Op(op, a.clone(), b.clone()),
+        )
     }
 
     /// The constant value, when this term is a constant.
@@ -398,7 +419,7 @@ mod tests {
             &Term::var(0, "x"),
             &Term::op(BinOp::Mul, &Term::var(1, "i"), &Term::constant(4)),
         );
-        assert!(Arc::ptr_eq(&a.inner, &b.inner));
+        assert!(Rc::ptr_eq(&a.inner, &b.inner));
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
@@ -419,18 +440,30 @@ mod tests {
     }
 
     #[test]
-    fn terms_cross_threads_and_still_compare_equal() {
+    fn fingerprints_agree_across_threads() {
         let here = Term::op(BinOp::Add, &Term::var(7, "len"), &Term::constant(12));
-        let (there, there_fp) = std::thread::spawn(|| {
-            let t = Term::op(BinOp::Add, &Term::var(7, "len"), &Term::constant(12));
-            let fp = t.fingerprint();
-            (t, fp)
+        // Terms are not `Send`; only the fingerprint crosses.
+        let there = std::thread::spawn(|| {
+            Term::op(BinOp::Add, &Term::var(7, "len"), &Term::constant(12)).fingerprint()
         })
         .join()
         .expect("fingerprint thread panicked");
-        // Different interners, same structure: equality and fingerprints
-        // must agree even though the allocations differ.
-        assert_eq!(here, there);
-        assert_eq!(here.fingerprint(), there_fp);
+        assert_eq!(here.fingerprint(), there);
+    }
+
+    #[test]
+    fn separately_allocated_equal_terms_compare_equal() {
+        let build = || Term::op(BinOp::Add, &Term::var(7, "len"), &Term::constant(12));
+        let first = build();
+        reset_interner();
+        let second = build();
+        // The reset broke the sharing at every level, so equality must
+        // come from the structural fallback, not from the pointers.
+        assert!(!Rc::ptr_eq(&first.inner, &second.inner));
+        assert_eq!(first, second);
+        assert_ne!(
+            first,
+            Term::op(BinOp::Add, &Term::var(7, "len"), &Term::constant(13))
+        );
     }
 }

@@ -3,10 +3,12 @@
 //! assumptions. The test samples random terms, assumptions, and
 //! valuations; a single counterexample would demonstrate an unsound
 //! inference (the one failure mode a verification tool must not have —
-//! incompleteness is fine, unsoundness is not).
+//! incompleteness is fine, unsoundness is not). A second property holds
+//! a reused [`Context`] to the answers of fresh ones.
 
 use bedrock2::ast::BinOp;
-use proglogic::{prove, Formula, FormulaView, Outcome, Term};
+use proglogic::solver::Context;
+use proglogic::{contradictory, prove, Formula, FormulaView, Outcome, Term};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -41,6 +43,15 @@ fn arb_cmp() -> impl Strategy<Value = Formula> {
         1 => Formula::ne(&a, &b),
         2 => Formula::ltu(&a, &b),
         _ => Formula::leu(&a, &b),
+    })
+}
+
+/// A comparison, or a conjunction or disjunction of two.
+fn arb_goal() -> impl Strategy<Value = Formula> {
+    (arb_cmp(), arb_cmp(), 0u8..3).prop_map(|(a, b, k)| match k {
+        0 => a,
+        1 => a.and(b),
+        _ => a.or(b),
     })
 }
 
@@ -94,6 +105,27 @@ proptest! {
                     "UNSOUND: {goal:?} proved from {assumptions:?} but false at {env:?}"
                 );
             }
+        }
+    }
+
+    /// One context asked a sequence of goals, with feasibility checks in
+    /// between, answers each exactly as a context built fresh for it:
+    /// the symbolic executor reuses one context across the queries of a
+    /// path condition and relies on this.
+    #[test]
+    fn a_reused_context_answers_as_fresh_ones(
+        assumptions in proptest::collection::vec(arb_cmp(), 0..4),
+        goals in proptest::collection::vec(arb_goal(), 1..8),
+    ) {
+        let ctx = Context::new(&assumptions);
+        let infeasible = contradictory(&assumptions);
+        for goal in &goals {
+            prop_assert_eq!(
+                ctx.prove(goal),
+                prove(&assumptions, goal),
+                "{:?} from {:?}", goal, assumptions
+            );
+            prop_assert_eq!(ctx.contradictory(), infeasible);
         }
     }
 
