@@ -179,6 +179,7 @@ fn main() {
         all.paths += r.paths;
         all.solver_queries += r.solver_queries;
         all.solver_contexts += r.solver_contexts;
+        all.solver_micros += r.solver_micros;
     }
     let proof_secs: f64 = proofs.iter().map(|(_, _, s)| s).sum();
     measured.push(("driver_proofs", proof_secs, work(&all)));
@@ -199,6 +200,7 @@ fn main() {
             .field("paths", Value::UInt(r.paths as u64))
             .field("solver_queries", Value::UInt(r.solver_queries))
             .field("solver_contexts", Value::UInt(r.solver_contexts))
+            .field("solver_micros", Value::UInt(r.solver_micros))
             .field("seconds", Value::Float(secs))
     };
     let per_proof = Value::Arr(

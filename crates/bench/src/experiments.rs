@@ -393,15 +393,22 @@ fn driver_proofs(d: &Field) -> Result<Vec<String>, String> {
     named.push(("total", total));
     let mut rows = Vec::new();
     for (name, r) in named {
-        let [obligations, paths, queries, contexts] =
-            r.ints(["obligations", "paths", "solver_queries", "solver_contexts"])?;
-        let ms = 1e3 * r.num("seconds")?;
+        let [obligations, paths, queries, contexts, solver] = r.ints([
+            "obligations",
+            "paths",
+            "solver_queries",
+            "solver_contexts",
+            "solver_micros",
+        ])?;
+        let (ms, solver_ms) = (1e3 * r.num("seconds")?, solver as f64 / 1e3);
+        let share = 100.0 * solver_ms / ms;
         rows.push(format!(
-            "| {name} | {obligations} | {paths} | {queries} | {contexts} | {ms:.2} ms |"
+            "| {name} | {obligations} | {paths} | {queries} | {contexts} | {solver_ms:.2} ms ({share:.0} %) | {ms:.2} ms |"
         ));
     }
-    let columns = "| proof | obligations | paths | solver queries | solver contexts | wall clock |";
-    let rule = "|---|---:|---:|---:|---:|---:|";
+    let columns =
+        "| proof | obligations | paths | solver queries | solver contexts | solver | wall clock |";
+    let rule = "|---|---:|---:|---:|---:|---:|---:|";
     Ok(table("verif_perf", columns, rule, rows))
 }
 

@@ -66,7 +66,8 @@ impl Iv {
 pub struct Context {
     /// The assumptions, as given.
     assumptions: Vec<Formula>,
-    /// Some assumption is `⊥`, or some interval came out empty.
+    /// Some assumption is `⊥`, or some fact met with its term's computed
+    /// bounds came out empty.
     vacuous: bool,
     /// Variable-equals-constant substitutions, keyed by the variable term.
     subst: HashMap<Term, Term, fx::FxBuild>,
@@ -257,7 +258,9 @@ impl Context {
                 }
             }
         }
-        ctx.vacuous = ctx.facts.values().any(|iv| iv.is_empty());
+        // A fact can be non-empty and still miss its term's computed
+        // bounds (a 0/1 comparison term above 1), so meet the two.
+        ctx.vacuous = ctx.facts.keys().any(|t| ctx.interval(t).is_empty());
         ctx
     }
 
@@ -582,6 +585,18 @@ mod tests {
         let assms = [Formula::ltu(&x, &c(3)), Formula::leu(&c(7), &x)];
         assert!(contradictory(&assms));
         assert_eq!(prove(&assms, &Formula::eq(&c(0), &c(1))), Outcome::Proved);
+    }
+
+    #[test]
+    fn a_fact_that_misses_its_terms_bounds_is_a_contradiction() {
+        // `(t <u l) = 0` puts `l ≤u t` on the comparison term `t`, which
+        // is 0 or 1, while `l = x | 2^31` is at least 2^31. Neither fact
+        // is empty on its own; each meets its term's bounds in nothing.
+        let t = Term::op(BinOp::Ltu, &v(0, "y"), &v(1, "z"));
+        let l = Term::op(BinOp::Or, &v(2, "x"), &c(0x8000_0000));
+        let assms = [Formula::eq(&Term::op(BinOp::Ltu, &t, &l), &c(0))];
+        assert!(contradictory(&assms));
+        assert_eq!(prove(&assms, &Formula::falsehood()), Outcome::Proved);
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //!   must prove (e.g. "the address is in MMIO range") and universally
 //!   quantifies the result (a fresh symbolic variable);
 //! * the interaction trace is tracked symbolically so postconditions can
-//!   constrain it.
+//!   constrain it; its events are shared between the states a fork makes,
+//!   so a fork copies pointers, not events.
 //!
 //! Memory is a bag of disjoint *regions* (separation-logic style): symbolic
 //! base, word-granular symbolic contents, with address resolution by
-//! `base + constant-offset` decomposition.
+//! `base + constant-offset` decomposition. A havoc starts a new generation
+//! of a region's contents in O(1): it reserves one fresh variable id per
+//! word, and a word's variable is built only when it is read.
 
 use crate::formula::Formula;
 use crate::solver::{Context, Outcome};
@@ -122,14 +125,60 @@ impl fmt::Display for VcError {
 impl std::error::Error for VcError {}
 
 /// A separation-logic-style memory region with symbolic word contents.
+///
+/// The contents are one *generation* of fresh variables plus the words
+/// stored since: after allocation or a havoc, word `i` is variable
+/// `first + i`, named `name[i]` (or `name'[i]` once havocked), and it is
+/// built only when read. A havoc therefore costs O(1) yet allocates the
+/// same ids a word-by-word havoc would.
 #[derive(Clone, Debug)]
 pub struct Region {
     /// Diagnostic name.
     pub name: String,
     /// Symbolic base address (assumed word-aligned by construction).
     pub base: Term,
-    /// Word contents, index `i` holding bytes `[4i, 4i+4)`.
-    pub words: Vec<Term>,
+    /// Number of words.
+    len: usize,
+    /// Id of word 0's variable in the current generation.
+    first: u32,
+    /// The current generation comes from a havoc (`name'[i]`), not from
+    /// allocation (`name[i]`).
+    primed: bool,
+    /// Words stored since the current generation began, by index.
+    written: Vec<(usize, Term)>,
+}
+
+impl Region {
+    /// Number of words.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a region of no words.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Word `i`, holding bytes `[4i, 4i+4)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not below [`Region::len`].
+    pub fn word(&self, i: usize) -> Term {
+        assert!(i < self.len, "word {i} outside region '{}'", self.name);
+        if let Some((_, t)) = self.written.iter().find(|(w, _)| *w == i) {
+            return t.clone();
+        }
+        let prime = if self.primed { "'" } else { "" };
+        Term::var(self.first + i as u32, &format!("{}{prime}[{i}]", self.name))
+    }
+
+    fn write(&mut self, i: usize, t: Term) {
+        match self.written.iter_mut().find(|(w, _)| *w == i) {
+            Some(slot) => slot.1 = t,
+            None => self.written.push((i, t)),
+        }
+    }
 }
 
 /// One symbolic interaction-trace record: `(action, args, rets)`.
@@ -144,8 +193,9 @@ pub struct SymState {
     pub path: Vec<Formula>,
     /// Disjoint memory regions.
     pub regions: Vec<Region>,
-    /// Symbolic interaction trace, oldest first.
-    pub trace: Vec<SymEvent>,
+    /// Symbolic interaction trace, oldest first. Events are shared, so a
+    /// fork copies pointers.
+    pub trace: Vec<Rc<SymEvent>>,
     next_var: u32,
 }
 
@@ -155,6 +205,13 @@ impl SymState {
         let t = Term::var(self.next_var, name);
         self.next_var += 1;
         t
+    }
+
+    /// Reserves `n` consecutive variable ids; returns the first.
+    fn reserve(&mut self, n: usize) -> u32 {
+        let first = self.next_var;
+        self.next_var += n as u32;
+        first
     }
 
     /// Adds an assumption to the path condition.
@@ -168,13 +225,15 @@ impl SymState {
     /// symbolic contents and a fresh symbolic base; returns the base term.
     pub fn add_region(&mut self, name: &str, nbytes: u32) -> Term {
         let base = self.fresh(&format!("{name}_base"));
-        let words = (0..nbytes.div_ceil(4))
-            .map(|i| self.fresh(&format!("{name}[{i}]")))
-            .collect();
+        let len = nbytes.div_ceil(4) as usize;
+        let first = self.reserve(len);
         self.regions.push(Region {
             name: name.to_string(),
             base: base.clone(),
-            words,
+            len,
+            first,
+            primed: false,
+            written: Vec::new(),
         });
         base
     }
@@ -192,7 +251,7 @@ impl SymState {
         };
         let n = size.bytes();
         let r = &self.regions[ri];
-        if (off as u64) + (n as u64) > (r.words.len() as u64) * 4 {
+        if (off as u64) + (n as u64) > (r.len as u64) * 4 {
             return Err(VcError::OutOfBounds {
                 region: r.name.clone(),
                 offset: off,
@@ -242,28 +301,26 @@ impl SymState {
     }
 
     /// Weak update: the region's contents become unknown (sound for
-    /// safety; symbolic-index stores lose value precision). Each word
-    /// becomes a fresh `name'[i]`, all names written into one buffer.
+    /// safety; symbolic-index stores lose value precision). Every word
+    /// becomes a fresh `name'[i]` of a new generation, and the stores of
+    /// the old one are forgotten.
     fn havoc_region(&mut self, ri: usize) {
-        let mut buf = String::new();
-        for wi in 0..self.regions[ri].words.len() {
-            buf.clear();
-            let _ = write!(buf, "{}'[{wi}]", self.regions[ri].name);
-            let fresh = self.fresh(&buf);
-            self.regions[ri].words[wi] = fresh;
-        }
+        let first = self.reserve(self.regions[ri].len);
+        let r = &mut self.regions[ri];
+        r.first = first;
+        r.primed = true;
+        r.written.clear();
     }
 
     fn load(&mut self, size: Size, addr: &Term) -> Result<Term, VcError> {
         let (ri, wi, lane) = self.mem_access(size, addr)?;
-        let w = self.regions[ri].words[wi].clone();
-        Ok(extract(size, lane, &w))
+        Ok(extract(size, lane, &self.regions[ri].word(wi)))
     }
 
     fn store(&mut self, size: Size, addr: &Term, value: &Term) -> Result<(), VcError> {
         let (ri, wi, lane) = self.mem_access(size, addr)?;
-        let old = self.regions[ri].words[wi].clone();
-        self.regions[ri].words[wi] = inject(size, lane, &old, value);
+        let r = &mut self.regions[ri];
+        r.write(wi, inject(size, lane, &r.word(wi), value));
         Ok(())
     }
 
@@ -641,7 +698,7 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
         size: Size,
     ) -> Result<(), VcError> {
         let n = size.bytes();
-        let bytes = (st.regions[ri].words.len() as u32) * 4;
+        let bytes = (st.regions[ri].len as u32) * 4;
         let name = &st.regions[ri].name;
         self.prove_mem(
             st,
@@ -808,7 +865,8 @@ impl<'p, E: ExtSpec> SymExec<'p, E> {
                 for req in &result.require {
                     self.discharge(&st, req, format_args!("precondition of {action}"), report)?;
                 }
-                st.trace.push((action.clone(), argv, result.rets.clone()));
+                st.trace
+                    .push(Rc::new((action.clone(), argv, result.rets.clone())));
                 for f in result.assume {
                     st.assume(f);
                 }
@@ -1135,25 +1193,99 @@ mod tests {
 
     #[test]
     fn trace_postconditions_see_external_calls() {
+        // v = MMIOREAD(0x1002404C); then each arm of `if c` reads its own
+        // address into w.
         let f = Function::new(
             "io",
-            &[],
-            &["v"],
-            interact(&["v"], "MMIOREAD", [lit(0x1002_404C)]),
+            &["c"],
+            &["v", "w"],
+            block([
+                interact(&["v"], "MMIOREAD", [lit(0x1002_404C)]),
+                if_(
+                    var("c"),
+                    interact(&["w"], "MMIOREAD", [lit(0x1002_4050)]),
+                    interact(&["w"], "MMIOREAD", [lit(0x1002_4054)]),
+                ),
+            ]),
         );
         let p = Program::from_functions([f]);
         let se = SymExec::new(&p, mmio_spec());
-        se.check_function(
-            "io",
-            |_| vec![],
-            |st, rets| {
-                assert_eq!(st.trace.len(), 1);
-                assert_eq!(st.trace[0].0, "MMIOREAD");
-                // The result is exactly the traced return value.
-                vec![Formula::eq(&rets[0], &st.trace[0].2[0])]
-            },
-        )
-        .unwrap();
+        let arms = RefCell::new(Vec::new());
+        let report = se
+            .check_function(
+                "io",
+                |st| vec![st.fresh("c")],
+                |st, rets| {
+                    // Both paths share the first event; each holds only
+                    // its own arm's second one.
+                    assert_eq!(st.trace.len(), 2);
+                    assert_eq!(st.trace[0].0, "MMIOREAD");
+                    assert_eq!(st.trace[0].1, [Term::constant(0x1002_404C)]);
+                    arms.borrow_mut().push(st.trace[1].1[0].as_const());
+                    // The results are exactly the traced return values.
+                    vec![
+                        Formula::eq(&rets[0], &st.trace[0].2[0]),
+                        Formula::eq(&rets[1], &st.trace[1].2[0]),
+                    ]
+                },
+            )
+            .unwrap();
+        assert_eq!(report.paths, 2);
+        assert_eq!(*arms.borrow(), [Some(0x1002_4050), Some(0x1002_4054)]);
+    }
+
+    #[test]
+    fn a_store_before_a_havocking_loop_does_not_survive_it() {
+        // store4(p + 4, 7); <between>; r = load4(p + 4); prove r = 7. An
+        // automatic invariant havocs memory, so the stored 7 is forgotten.
+        let f = |name: &str, between: Stmt| {
+            Function::new(
+                name,
+                &["p", "n"],
+                &["r"],
+                block([
+                    store4(add(var("p"), lit(4)), lit(7)),
+                    between,
+                    set("r", load4(add(var("p"), lit(4)))),
+                ]),
+            )
+        };
+        let spin = while_(var("n"), set("n", sub(var("n"), lit(1))));
+        let p = Program::from_functions([f("kept", Stmt::Skip), f("lost", spin)]);
+        let mut se = SymExec::new(&p, mmio_spec());
+        se.auto_invariants = true;
+        let check = |name| {
+            se.check_function(
+                name,
+                |st| vec![st.add_region("buf", 8), st.fresh("n")],
+                |_, rets| vec![Formula::eq(&rets[0], &Term::constant(7))],
+            )
+        };
+        check("kept").unwrap();
+        let err = check("lost");
+        assert!(
+            matches!(&err, Err(VcError::ProofFailed { goal, context })
+                if goal.contains("buf'[1]") && context == "postcondition"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn havocked_words_take_the_ids_eager_allocation_gave_them() {
+        // Allocating word by word numbered the base 0 and buf[0], buf[1]
+        // 1 and 2; a havoc then numbered buf'[0], buf'[1] 3 and 4. Later
+        // ids, and so every rendered goal, depend on keeping that order.
+        let mut st = SymState::default();
+        let base = st.add_region("buf", 8);
+        assert_eq!(base, Term::var(0, "buf_base"));
+        let word = |st: &mut SymState, k: u32| st.load(Size::Four, &base.add_const(4 * k)).unwrap();
+        assert_eq!(word(&mut st, 1), Term::var(2, "buf[1]"));
+        st.havoc(&[]);
+        assert_eq!(st.fresh("x"), Term::var(5, "x"));
+        for k in 0..2 {
+            assert_eq!(word(&mut st, k), Term::var(3 + k, &format!("buf'[{k}]")));
+        }
+        assert_eq!(st.regions[0].len(), 2);
     }
 
     #[test]
